@@ -131,10 +131,6 @@ def constants(group: SL2 | None = None) -> Constants:
     return Constants(G_MATRIX, F_MATRIX, C, F, U, L)
 
 
-def _apply_map_to_block(group: SL2, block, perm) -> tuple[int, ...]:
-    return tuple(sorted(int(perm[x]) for x in block))
-
-
 def _block_indices(group: SL2, matrices) -> tuple[int, ...]:
     return tuple(sorted(group.idx(group.element(*m)) for m in matrices))
 
@@ -263,7 +259,6 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
     modulus = None
     meta: dict[str, str] = {}
     subgroup: frozenset[int] | None = None
-    s_gen: list[str] | None = None
     bases: list[tuple[int, tuple[int, ...]]] = []
     body: list[tuple[int, str]] = []
 
@@ -278,15 +273,22 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
                 raise ParseError(f"expected header 'unital v1', got {line!r}", lineno)
             version_seen = True
             continue
-        parts = line.split()
-        if parts[0] == "q":
-            q = int(parts[1])
-        elif parts[0] == "modulus":
-            modulus = int(parts[1])
-        elif parts[0] in ("name", "parallelism"):
-            meta[parts[0]] = parts[1]
-        else:
+        key, *values = line.split()
+        if key not in ("q", "modulus", "name", "parallelism"):
             body.append((lineno, line))
+        elif not values:
+            raise ParseError(f"header line {key!r} has no value", lineno)
+        elif key in ("name", "parallelism"):
+            meta[key] = values[0]
+        else:
+            try:
+                number = int(values[0])
+            except ValueError:
+                raise ParseError(f"{key} must be an integer, got {values[0]!r}", lineno) from None
+            if key == "q":
+                q = number
+            else:
+                modulus = number
     if not version_seen:
         raise ParseError("missing 'unital v1' header", len(lines) or 1)
     if q is None or modulus is None:
@@ -304,7 +306,6 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
     for lineno, line in body:
         parts = line.split()
         if parts[0] == "S" and len(parts) > 1 and parts[1] == "gen":
-            s_gen = parts[2:]
             gen = _parse_matrix(parts[2:6], lineno, group)
             subgroup = group.subgroup_generated([gen])
             if len(subgroup) != q + 1:
@@ -338,6 +339,5 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
 
     if subgroup is None:
         raise ParseError("missing S line", len(lines))
-    del s_gen
     bases.sort(key=lambda kv: kv[0])
     return HatSystem(group, subgroup, tuple(b for _, b in bases)), meta

@@ -29,7 +29,7 @@ from .design import (
 )
 from .hatsearch import SearchConfig, SymmetryConstraint, search
 from .morphisms import are_isomorphic_affine, closures_isomorphic, stabilizer_of_identity
-from .onan import contains_onan, count_onan_through, find_onan
+from .onan import count_onan_through, find_onan
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,20 +61,15 @@ def _load_source(source: str, q: int, modulus: int | None):
     return catalog.parse(path.read_text())
 
 
-def _unital_cache() -> dict:
-    return _unital_cache_store
-
-
-_unital_cache_store: dict = {}
+_unital_cache: dict = {}
 
 
 def _build(source: str, q: int, modulus: int | None):
     key = (source, q, modulus)
-    cache = _unital_cache()
-    if key not in cache:
+    if key not in _unital_cache:
         system, meta = _load_source(source, q, modulus)
-        cache[key] = (build_affine_unital(system), meta)
-    return cache[key]
+        _unital_cache[key] = (build_affine_unital(system), meta)
+    return _unital_cache[key]
 
 
 def cmd_verify(args, out: Output) -> int:
@@ -92,7 +87,7 @@ def cmd_verify(args, out: Output) -> int:
         out.emit("status", "fail")
         return EXIT_FAIL
     unital = build_affine_unital(system)
-    rep = verify_affine_unital(unital, threads=args.threads)
+    rep = verify_affine_unital(unital)
     for k, v in rep.counts.items():
         out.emit(k, v)
     for c in rep.checks:
@@ -101,7 +96,7 @@ def cmd_verify(args, out: Output) -> int:
     status = rep.ok
     if "parallelism" in meta:
         par = parallelism_by_name(unital, meta["parallelism"])
-        crep = verify_design(close(unital, par), threads=args.threads)
+        crep = verify_design(close(unital, par))
         for k, v in crep.counts.items():
             out.emit(f"closed-{k}", v)
         for c in crep.checks:
@@ -166,9 +161,9 @@ def cmd_onan(args, out: Output) -> int:
         if not res.complete:
             return EXIT_BUDGET
         return EXIT_OK
-    found = contains_onan(unital, exhaustive=args.exhaustive)
+    cfg = find_onan(unital, anchor=None if args.exhaustive else 0)
+    found = cfg is not None
     if found:
-        cfg = find_onan(unital, anchor=None if args.exhaustive else 0)
         out.say("configuration found")
         out.emit("found", "yes")
         out.emit("points", " ".join(str(p) for p in sorted(cfg.points)))
@@ -238,8 +233,9 @@ def _search_config(spec: dict, args) -> SearchConfig:
         candidate_limit=spec.get("candidate_limit"),
         node_budget=spec.get("node_budget"),
         time_budget_sec=args.budget_sec if args.budget_sec else spec.get("time_budget_sec"),
-        branches=args.threads if args.threads else spec.get("branches", 1),
+        branches=args.threads or spec.get("branches", 1),
         dedup=spec.get("dedup", "iso"),
+        method=spec.get("method", "auto"),
     )
 
 
@@ -273,7 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--q", type=int, default=8, help="field size (default 8)")
     parser.add_argument("--modulus", type=int, default=None, help="field modulus bitmask")
-    parser.add_argument("--threads", type=int, default=1, help="parallel branch tasks")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="search branch workers (default: the config's branches, or 1)",
+    )
     parser.add_argument("--budget-sec", type=float, default=None, help="time budget")
     parser.add_argument(
         "--format", choices=("human", "machine"), default="human", help="output format"

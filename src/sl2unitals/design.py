@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,10 +127,17 @@ def check_P(system: HatSystem) -> bool:
 # Incidence structures
 # ----------------------------------------------------------------------
 class _Incidence:
-    """Shared lookup machinery for affine and closed structures."""
+    """Shared lookup machinery for affine and closed structures.
 
-    blocks: list[tuple[int, ...]]
-    n_points: int
+    Incidence is held in two arrays: the blocks as the rows of
+    ``block_array``, and ``pair_block``, the block through each pair of
+    points.  Two points lie on at most one block, so the second is enough
+    to find the image of any block under a point map (``block_image``).
+    """
+
+    def __init__(self, n_points: int, blocks: list[tuple[int, ...]]):
+        self.n_points = n_points
+        self.blocks = blocks
 
     @cached_property
     def block_index(self) -> dict[tuple[int, ...], int]:
@@ -145,25 +152,52 @@ class _Incidence:
         return pb
 
     @cached_property
+    def block_array(self) -> np.ndarray:
+        """The blocks as the rows of an int32 array.
+
+        A block shorter than the longest repeats its last point, so every
+        entry is a point of its own block; ``block_sizes`` has the lengths.
+        """
+        width = max(map(len, self.blocks))
+        return np.array([b + b[-1:] * (width - len(b)) for b in self.blocks], dtype=np.int32)
+
+    @cached_property
+    def block_sizes(self) -> np.ndarray:
+        return np.array([len(b) for b in self.blocks], dtype=np.int32)
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every point pair of every block, in one vectorised pass.
+
+        Returns (xs, ys, bids): positions i < j of block bids[k] hold the
+        points xs[k] and ys[k], listed block by block and (i, j) in
+        row-major order.  ``pair_block`` and the unique-joining checks
+        are both read from it.
+        """
+        rows, cols = np.triu_indices(self.block_array.shape[1], 1)
+        live = cols < self.block_sizes[:, None]
+        bids = np.repeat(np.arange(len(self.blocks), dtype=np.int32), live.sum(axis=1))
+        return self.block_array[:, rows][live], self.block_array[:, cols][live], bids
+
+    @cached_property
     def pair_block(self) -> np.ndarray:
         """pair_block[x, y] = id of the unique block through x and y.
 
         Requires AU4 / lambda = 1; -1 marks an uncovered pair and building
-        raises on a doubly covered pair.
+        raises on a doubly covered pair.  The ids are int16 while the
+        block count allows, which halves the n x n table.
         """
         n = self.n_points
-        table = np.full((n, n), -1, dtype=np.int32)
-        for bid, b in enumerate(self.blocks):
-            for i in range(len(b)):
-                x = b[i]
-                for j in range(i + 1, len(b)):
-                    y = b[j]
-                    if table[x, y] != -1:
-                        raise UnitalError(
-                            f"points {x},{y} on blocks {table[x, y]} and {bid}"
-                        )
-                    table[x, y] = bid
-                    table[y, x] = bid
+        xs, ys, bids = self._pairs()
+        dtype = np.int16 if len(self.blocks) < 2**15 else np.int32
+        table = np.full((n, n), -1, dtype=dtype)
+        table[xs, ys] = bids
+        table[ys, xs] = bids
+        # a pair on two blocks keeps only one id, so the other reads back wrong
+        clash = np.flatnonzero(table[xs, ys] != bids)
+        if len(clash):
+            k = clash[0]
+            x, y = int(xs[k]), int(ys[k])
+            raise UnitalError(f"points {x},{y} on blocks {int(bids[k])} and {int(table[x, y])}")
         return table
 
     @cached_property
@@ -184,6 +218,31 @@ class _Incidence:
             raise UnitalError(f"points {x},{y} lie on no common block")
         return bid
 
+    def block_image(
+        self,
+        perm: np.ndarray,
+        ids: Sequence[int] | None = None,
+        target: _Incidence | None = None,
+    ) -> np.ndarray:
+        """Where the point map ``perm`` sends the blocks ``ids`` (default: all).
+
+        For each block, the id of its image among the blocks of ``target``
+        (default: this structure), or -1 where the image is not a block
+        there.  Two points lie on at most one block, so the image can only
+        be the block joining the images of the first two points; it is that
+        block when the images of the other points lie on it too and the
+        sizes agree.
+        """
+        target = self if target is None else target
+        ids = slice(None) if ids is None else np.asarray(ids, dtype=np.intp)
+        images = np.asarray(perm)[self.block_array[ids]]
+        hits = target.pair_block[images[:, :1], images[:, 1:]]
+        bid = hits[:, 0]
+        ok = (hits == bid[:, None]).all(axis=1) & (bid >= 0)
+        # where bid is -1 the size read is the last block's, but ok is False
+        ok &= target.block_sizes[bid] == self.block_sizes[ids]
+        return np.where(ok, bid, -1)
+
 
 class AffineUnital(_Incidence):
     """Block structure of a hat system, with origin tags per block."""
@@ -191,7 +250,6 @@ class AffineUnital(_Incidence):
     def __init__(self, system: HatSystem):
         self.system = system
         self.group = system.group
-        self.n_points = system.group.order
         group = system.group
         cay = group.cayley
 
@@ -228,7 +286,7 @@ class AffineUnital(_Incidence):
                 if not emit(tuple(sorted(int(cay[x, g]) for x in d_arr)), ("D", di)):
                     self.duplicate_blocks += 1
 
-        self.blocks = blocks
+        super().__init__(group.order, blocks)
         self.tags = tags
         self.short_ids = [i for i, b in enumerate(blocks) if len(b) == group.field.q]
         self.long_ids = [i for i, b in enumerate(blocks) if len(b) == group.field.q + 1]
@@ -247,16 +305,9 @@ class AffineUnital(_Incidence):
                 out[k].add(bid)
         return tuple(frozenset(s) for s in out)
 
-    @cached_property
-    def s_block_id(self) -> int:
-        """Block id of the subgroup S itself."""
-        return self.block_index[tuple(sorted(self.system.subgroup))]
-
     def translate_block_id(self, bid: int, h: int) -> int:
         """Id of the right translate (block * h)."""
-        cay = self.group.cayley
-        moved = tuple(sorted(int(cay[x, h]) for x in self.blocks[bid]))
-        return self.block_index[moved]
+        return int(self.block_image(self.group.cayley[:, h], [bid])[0])
 
 
 def build_affine_unital(system: HatSystem) -> AffineUnital:
@@ -302,54 +353,23 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
 
-def pair_coverage_counts(structure: _Incidence, threads: int = 1) -> np.ndarray:
-    """Upper-triangular matrix counting the blocks through each point pair.
-
-    With ``threads`` > 1 the block list is partitioned and the chunks are
-    scanned concurrently; the merge is a commutative addition, so the
-    result never depends on the thread count.
-    """
+def _unique_joining_check(structure: _Incidence) -> tuple[bool, str]:
     n = structure.n_points
-    counts = np.zeros((n, n), dtype=np.int16)
-
-    def pairs_of(chunk):
-        xs, ys = [], []
-        for b in chunk:
-            for i in range(len(b)):
-                for j in range(i + 1, len(b)):
-                    xs.append(b[i])
-                    ys.append(b[j])
-        return np.array(xs, dtype=np.int32), np.array(ys, dtype=np.int32)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [structure.blocks[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(pairs_of, chunks))
-    else:
-        parts = [pairs_of(structure.blocks)]
-    for xs, ys in parts:
-        np.add.at(counts, (xs, ys), 1)
-    return counts
-
-
-def _unique_joining_check(structure: _Incidence, threads: int) -> tuple[bool, str]:
-    counts = pair_coverage_counts(structure, threads)
-    iu = np.triu_indices(structure.n_points, 1)
-    vals = counts[iu]
-    over = np.nonzero(vals > 1)[0]
-    if len(over):
-        k = int(over[0])
-        return False, f"pair ({int(iu[0][k])},{int(iu[1][k])}) on {int(vals[k])} blocks"
-    under = np.nonzero(vals == 0)[0]
-    if len(under):
-        k = int(under[0])
-        return False, f"pair ({int(iu[0][k])},{int(iu[1][k])}) uncovered"
+    xs, ys = structure._pairs()[:2]
+    # blocks are sorted, so each pair is counted at (smaller, larger)
+    counts = np.bincount(xs * n + ys, minlength=n * n).reshape(n, n)
+    over = np.triu(counts > 1, 1)
+    if over.any():
+        x, y = divmod(int(over.argmax()), n)
+        return False, f"pair ({x},{y}) on {int(counts[x, y])} blocks"
+    under = np.triu(counts == 0, 1)
+    if under.any():
+        x, y = divmod(int(under.argmax()), n)
+        return False, f"pair ({x},{y}) uncovered"
     return True, ""
 
 
-def verify_affine_unital(unital: AffineUnital, threads: int = 1) -> Report:
+def verify_affine_unital(unital: AffineUnital) -> Report:
     """Check axioms (AU1)-(AU5); failures carry a witness in the detail."""
     rep = Report()
     q = unital.group.field.q
@@ -372,7 +392,7 @@ def verify_affine_unital(unital: AffineUnital, threads: int = 1) -> Report:
         "" if not deg_bad else f"point {deg_bad[0][0]} on {deg_bad[0][1]} blocks",
     )
 
-    ok, detail = _unique_joining_check(unital, threads)
+    ok, detail = _unique_joining_check(unital)
     rep.add("AU4", ok, detail)
 
     try:
@@ -396,11 +416,29 @@ class Parallelism:
     classes: tuple[frozenset[int], ...]
     labels: tuple[int, ...]  # Sylow index per class
 
-    def class_of_block(self) -> dict[int, int]:
-        out: dict[int, int] = {}
+    @cached_property
+    def block_class(self) -> np.ndarray:
+        """Class index of each block id, -1 for blocks in no class.
+
+        One entry longer than the block list, so that the block id -1 (no
+        block) reads as no class as well.
+        """
+        out = np.full(len(self.unital.blocks) + 1, -1, dtype=np.int32)
         for ci, cl in enumerate(self.classes):
-            for bid in cl:
-                out[bid] = ci
+            out[list(cl)] = ci
+        return out
+
+    def class_image(self, image: np.ndarray) -> np.ndarray | None:
+        """Per class, the class into which the block map ``image`` (a block
+        id per block id) sends all of its blocks; None if some class is not
+        sent into a single class."""
+        members = np.nonzero(self.block_class[:-1] >= 0)[0]
+        src = self.block_class[members]
+        dst = self.block_class[image[members]]
+        out = np.full(len(self.classes), -1, dtype=np.int32)
+        out[src] = dst
+        if (out < 0).any() or (out[src] != dst).any():
+            return None
         return out
 
     @cached_property
@@ -411,17 +449,16 @@ class Parallelism:
     def is_right_invariant(self) -> bool:
         """Whether every right translation permutes the classes.
 
-        Holds for both built-in parallelisms; checked exhaustively over
-        all group elements.
+        The translations sending each class into a single class are closed
+        under composition, so they form a subgroup; it is all of SL(2,q)
+        when it contains a generating set, and only those generators are
+        checked.  Holds for both built-in parallelisms.
         """
         u = self.unital
-        cls = self.class_of_block()
-        for h in range(u.group.order):
-            for cl in self.classes:
-                targets = {cls[u.translate_block_id(bid, h)] for bid in cl}
-                if len(targets) != 1:
-                    return False
-        return True
+        return all(
+            self.class_image(u.block_image(u.group.cayley[:, h])) is not None
+            for h in u.group.generators
+        )
 
 
 def parallelism_witness(unital: AffineUnital, par: Parallelism) -> str | None:
@@ -507,20 +544,17 @@ class ClosedUnital(_Incidence):
         self.affine = unital
         self.parallelism = par
         n = unital.n_points
-        self.n_points = n + len(par.classes)
-        cls = par.class_of_block()
+        n_points = n + len(par.classes)
+        cls = par.block_class
         blocks: list[tuple[int, ...]] = []
-        self.affine_block_id: list[int | None] = []
         for bid, b in enumerate(unital.blocks):
-            if bid in cls:
-                blocks.append(b + (n + cls[bid],))
+            if cls[bid] >= 0:
+                blocks.append(b + (n + int(cls[bid]),))
             else:
                 blocks.append(b)
-            self.affine_block_id.append(bid)
         self.infinity_block_id = len(blocks)
-        blocks.append(tuple(range(n, self.n_points)))
-        self.affine_block_id.append(None)
-        self.blocks = blocks
+        blocks.append(tuple(range(n, n_points)))
+        super().__init__(n_points, blocks)
 
     @property
     def ideal_points(self) -> tuple[int, ...]:
@@ -538,7 +572,7 @@ def close(unital: AffineUnital, par: Parallelism) -> ClosedUnital:
     return ClosedUnital(unital, par)
 
 
-def verify_design(closed: ClosedUnital, threads: int = 1) -> Report:
+def verify_design(closed: ClosedUnital) -> Report:
     """Check the 2-(q^3+1, q+1, 1) design axioms for a closure."""
     rep = Report()
     q = closed.affine.group.field.q
@@ -552,6 +586,6 @@ def verify_design(closed: ClosedUnital, threads: int = 1) -> Report:
     deg = {len(pb) for pb in closed.point_blocks}
     rep.counts["replication"] = max(deg) if deg else 0
     rep.add("replication", deg == {q * q}, f"degrees {sorted(deg)}")
-    ok, detail = _unique_joining_check(closed, threads)
+    ok, detail = _unique_joining_check(closed)
     rep.add("lambda1", ok, detail)
     return rep

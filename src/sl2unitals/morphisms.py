@@ -6,6 +6,10 @@ alpha carries the order-(q+1) subgroup of the source onto that of the
 target.  Right translations are always automorphisms, so block-set
 questions reduce to the action of alpha on the blocks through the
 identity; the full-block check remains available as an oracle.
+
+Every block question goes through ``block_image`` of the incidence
+structures in :mod:`design`: the ids of the images of a set of blocks
+under a point map, found in the pair table.
 """
 
 from __future__ import annotations
@@ -43,16 +47,13 @@ def compose_maps(group: SL2, a: UnitalMap, b: UnitalMap) -> UnitalMap:
     return UnitalMap(alpha, int(h))
 
 
-def _maps_identity_blocks(unital: AffineUnital, alpha: AutMap) -> bool:
+def _maps_identity_blocks(
+    unital: AffineUnital, alpha: AutMap, target: AffineUnital | None = None
+) -> bool:
+    """Whether alpha sends the blocks through 1 onto blocks of ``target``
+    (default: the unital itself); alpha fixes 1, so these pass through 1."""
     perm = unital.group.aut_perm(alpha)
-    through_one = unital.blocks_through_identity
-    block_set = set(through_one)
-    for bid in through_one:
-        image = tuple(sorted(int(perm[p]) for p in unital.blocks[bid]))
-        target = unital.block_index.get(image)
-        if target is None or target not in block_set:
-            return False
-    return True
+    return bool((unital.block_image(perm, unital.blocks_through_identity, target) >= 0).all())
 
 
 def is_automorphism(unital: AffineUnital, psi: UnitalMap, full: bool = False) -> bool:
@@ -65,12 +66,7 @@ def is_automorphism(unital: AffineUnital, psi: UnitalMap, full: bool = False) ->
     """
     if not full:
         return _maps_identity_blocks(unital, psi.alpha)
-    perm = point_perm(unital.group, psi)
-    for b in unital.blocks:
-        image = tuple(sorted(int(perm[p]) for p in b))
-        if image not in unital.block_index:
-            return False
-    return True
+    return bool((unital.block_image(point_perm(unital.group, psi)) >= 0).all())
 
 
 def stabilizer_of_identity(unital: AffineUnital) -> tuple[tuple[AutMap, ...], "GroupDescription"]:
@@ -126,9 +122,6 @@ def describe_aut_group(group: SL2, maps: tuple[AutMap, ...]) -> GroupDescription
             # apply i then j
             mult[i, j] = keys[r[p].tobytes()]
     ident = next(i for i, p in enumerate(perms) if np.array_equal(p, np.arange(group.order)))
-    if ident != 0:
-        # normalise so that index arithmetic below can assume nothing
-        pass
 
     def elt_order(i: int) -> int:
         k, x = 1, i
@@ -230,21 +223,11 @@ def _transporter_maps(group: SL2, s1: frozenset[int], s2: frozenset[int]):
 
 def _iso_alphas(u1: AffineUnital, u2: AffineUnital) -> list[AutMap]:
     """All alpha in Aut(SL(2,q)) inducing isomorphisms u1 -> u2."""
-    group = u1.group
-    targets = set(u2.blocks_through_identity)
-    out = []
-    for m in _transporter_maps(group, u1.system.subgroup, u2.system.subgroup):
-        perm = group.aut_perm(m)
-        ok = True
-        for bid in u1.blocks_through_identity:
-            image = tuple(sorted(int(perm[p]) for p in u1.blocks[bid]))
-            t = u2.block_index.get(image)
-            if t is None or t not in targets:
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return out
+    return [
+        m
+        for m in _transporter_maps(u1.group, u1.system.subgroup, u2.system.subgroup)
+        if _maps_identity_blocks(u1, m, u2)
+    ]
 
 
 def are_isomorphic_affine(u1: AffineUnital, u2: AffineUnital) -> UnitalMap | None:
@@ -269,20 +252,10 @@ def are_isomorphic_affine(u1: AffineUnital, u2: AffineUnital) -> UnitalMap | Non
 # ----------------------------------------------------------------------
 def maps_parallelism(psi: UnitalMap, pi1: Parallelism, pi2: Parallelism) -> bool:
     """Whether psi carries each class of pi1 onto a class of pi2."""
-    u1, u2 = pi1.unital, pi2.unital
-    perm = point_perm(u1.group, psi)
-    target_classes = {cl: i for i, cl in enumerate(pi2.classes)}
-    for cl in pi1.classes:
-        image = set()
-        for bid in cl:
-            moved = tuple(sorted(int(perm[p]) for p in u1.blocks[bid]))
-            t = u2.block_index.get(moved)
-            if t is None:
-                return False
-            image.add(t)
-        if frozenset(image) not in target_classes:
-            return False
-    return True
+    u1 = pi1.unital
+    image = u1.block_image(point_perm(u1.group, psi), target=pi2.unital)
+    targets = set(pi2.classes)
+    return all(frozenset(image[list(cl)].tolist()) in targets for cl in pi1.classes)
 
 
 def _is_classical_like(unital: AffineUnital) -> bool:
@@ -322,48 +295,27 @@ def closed_point_map(closed: ClosedUnital, psi: UnitalMap) -> np.ndarray | None:
     """
     aff = closed.affine
     perm = point_perm(aff.group, psi)
-    par = closed.parallelism
-    cls_of = par.class_of_block()
+    moved = closed.parallelism.class_image(aff.block_image(perm))
+    if moved is None:
+        return None
     ext = np.zeros(closed.n_points, dtype=np.int32)
     ext[: aff.n_points] = perm
-    for ci, cl in enumerate(par.classes):
-        targets = set()
-        for bid in cl:
-            moved = tuple(sorted(int(perm[p]) for p in aff.blocks[bid]))
-            t = aff.block_index.get(moved)
-            if t is None or t not in cls_of:
-                return None
-            targets.add(cls_of[t])
-        if len(targets) != 1:
-            return None
-        ext[aff.n_points + ci] = aff.n_points + targets.pop()
+    ext[aff.n_points :] = aff.n_points + moved
     return ext
 
 
 def is_closed_automorphism(closed: ClosedUnital, psi: UnitalMap) -> bool:
     """Whether the extension of psi preserves the closed block set."""
     ext = closed_point_map(closed, psi)
-    if ext is None:
-        return False
-    for b in closed.blocks:
-        image = tuple(sorted(int(ext[p]) for p in b))
-        if image not in closed.block_index:
-            return False
-    return True
+    return ext is not None and bool((closed.block_image(ext) >= 0).all())
 
 
 def verify_translation(closed: ClosedUnital, sylow: frozenset[int], center: int) -> bool:
     """Whether each rho_t, t in the Sylow subgroup, fixes all blocks
     through the given ideal point."""
-    aff = closed.affine
     through = closed.point_blocks[center]
     for t in sorted(sylow):
-        psi = UnitalMap(aff.group.identity_aut, t)
-        ext = closed_point_map(closed, psi)
-        if ext is None:
+        ext = closed_point_map(closed, UnitalMap(closed.affine.group.identity_aut, t))
+        if ext is None or not np.array_equal(closed.block_image(ext, through), through):
             return False
-        for bid in through:
-            image = tuple(sorted(int(ext[p]) for p in closed.blocks[bid]))
-            if closed.block_index.get(image) != bid:
-                return False
     return True

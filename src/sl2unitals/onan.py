@@ -42,15 +42,13 @@ class OnanCount(NamedTuple):
 
 def verify_config(structure: _Incidence, config: OnanConfig) -> bool:
     """Full check of the defining incidences inside the structure."""
+    n = structure.n_points
     blocks = [tuple(sorted(b)) for b in config.blocks]
-    if len(set(blocks)) != 4:
+    if len(set(blocks)) != 4 or not all(len(b) > 1 and 0 <= b[0] and b[-1] < n for b in blocks):
         return False
-    ids = []
-    for b in blocks:
-        bid = structure.block_index.get(b)
-        if bid is None:
-            return False
-        ids.append(bid)
+    # The blocks as given, mapped into the structure by the identity.
+    if (_Incidence(n, blocks).block_image(np.arange(n), target=structure) < 0).any():
+        return False
     meets = []
     sets = [set(b) for b in blocks]
     for i in range(4):

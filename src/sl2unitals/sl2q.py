@@ -161,6 +161,17 @@ class SL2:
             frontier = nxt
         return frozenset(seen)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: greedily, the least element outside the
+        subgroup generated by the elements chosen before it."""
+        gens: list[int] = []
+        sub = frozenset({0})
+        while len(sub) < self.order:
+            gens.append(next(x for x in range(self.order) if x not in sub))
+            sub = self.subgroup_generated(gens)
+        return tuple(gens)
+
     # ------------------------------------------------------------------
     # Named subgroups
     # ------------------------------------------------------------------

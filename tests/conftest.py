@@ -40,6 +40,19 @@ def closures(unitals, parallelisms):
 
 
 @pytest.fixture(scope="session")
+def q4_unital():
+    """An affine SL(2,4)-unital: the first system of the q = 4 search."""
+    from sl2unitals.hatsearch import SearchConfig, search
+    from sl2unitals.sl2q import sl2_context
+
+    f = sl2_context(4).field
+    torus = next(
+        (d, t) for d in f.elements() for t in f.nonzero_elements() if f.discriminant_check(d, t)
+    )
+    return build_affine_unital(search(SearchConfig(q=4, torus_params=torus)).systems[0])
+
+
+@pytest.fixture(scope="session")
 def named(sl2):
     return catalog.constants(sl2)
 

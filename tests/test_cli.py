@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from sl2unitals import cli
 from sl2unitals.cli import main
+from sl2unitals.hatsearch import SearchResult
 
 
 def run(capsys, *argv):
@@ -44,10 +46,19 @@ class TestVerify:
         assert machine["status"] == "fail"
 
     def test_unparseable_file_is_input_error(self, capsys, tmp_path):
-        (tmp_path / "junk.unital").write_text("unital v1\nq 8\nmodulus 11\nD 1 : nope\n")
-        code, _, captured = run(capsys, "verify", str(tmp_path / "junk.unital"))
-        assert code == 2
-        assert "error" in captured.err
+        header = ["unital v1", "q 8", "modulus 11"]
+        for text, line in [
+            (header + ["D 1 : nope"], 4),
+            (["unital v1", "q"], 2),
+            (["unital v1", "q eight"], 2),
+            (["unital v1", "q 8", "modulus"], 3),
+            (header + ["name"], 4),
+            (header + ["parallelism"], 4),
+        ]:
+            (tmp_path / "junk.unital").write_text("\n".join(text) + "\n")
+            code, _, captured = run(capsys, "verify", str(tmp_path / "junk.unital"))
+            assert code == 2
+            assert captured.err.startswith(f"error: line {line}:")
 
     def test_missing_source_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "no-such-thing")
@@ -177,6 +188,27 @@ class TestSearch:
         assert "config-hash" in machine
         assert "elapsed-ms" in machine
         assert int(machine["candidates"]) == 400
+
+    def searched_config(self, capsys, tmp_path, monkeypatch, spec, *flags):
+        """The SearchConfig that the command builds from the spec and flags."""
+        seen = []
+        monkeypatch.setattr(
+            cli, "search", lambda cfg: seen.append(cfg) or SearchResult([], True)
+        )
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(spec))
+        assert run(capsys, *flags, "search", str(path), "--out", str(tmp_path))[0] == 0
+        return seen[0]
+
+    def test_config_branches_applies(self, capsys, tmp_path, monkeypatch):
+        spec = {"q": 4, "torus": [1, 2], "branches": 2}
+        assert self.searched_config(capsys, tmp_path, monkeypatch, spec).branches == 2
+        cfg = self.searched_config(capsys, tmp_path, monkeypatch, spec, "--threads", "3")
+        assert cfg.branches == 3
+
+    def test_config_method_applies(self, capsys, tmp_path, monkeypatch):
+        spec = {"q": 4, "torus": [1, 2], "method": "generic"}
+        assert self.searched_config(capsys, tmp_path, monkeypatch, spec).method == "generic"
 
     def test_bad_config_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "broken.json"

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2unitals import catalog
 from sl2unitals.design import (
@@ -23,7 +26,8 @@ from sl2unitals.design import (
     verify_affine_unital,
     verify_design,
 )
-from sl2unitals.sl2q import sl2_context
+from sl2unitals.morphisms import UnitalMap, closed_point_map, point_perm, stabilizer_of_identity
+from sl2unitals.sl2q import AutMap, sl2_context
 
 G = (4, 6, 6, 2)
 
@@ -141,6 +145,91 @@ class TestConstruction:
             joining_block(unitals["wu"], 5, 5)
 
 
+def oracle_image(source, perm, target=None):
+    """Block images looked up one at a time by their sorted point tuples."""
+    target = source if target is None else target
+    return [
+        target.block_index.get(tuple(sorted(int(perm[p]) for p in b)), -1) for b in source.blocks
+    ]
+
+
+def perm_sending(n, src, dst):
+    """A permutation of range(n) sending src[i] to dst[i]."""
+    perm = np.empty(n, dtype=np.int32)
+    perm[list(src) + [p for p in range(n) if p not in src]] = list(dst) + [
+        p for p in range(n) if p not in dst
+    ]
+    return perm
+
+
+def random_perm(rng, n):
+    return np.array(rng.sample(range(n), n))
+
+
+def sample_maps(unital, rng):
+    """Right translations and automorphisms (alpha * rho_h) of the unital."""
+    group = unital.group
+    maps, _ = stabilizer_of_identity(unital)
+    psis = [UnitalMap(group.identity_aut, h) for h in rng.sample(range(group.order), 3)]
+    return psis + [UnitalMap(m, rng.randrange(group.order)) for m in maps[:4]]
+
+
+class TestBlockImage:
+    """block_image against the sort-and-lookup oracle."""
+
+    def assert_matches(self, structure, perm, target=None):
+        image = structure.block_image(perm, target=target)
+        assert image.tolist() == oracle_image(structure, perm, target)
+        ids = list(range(0, len(structure.blocks), 7))
+        assert structure.block_image(perm, ids, target).tolist() == image[ids].tolist()
+        return image
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_affine(self, q, unitals, q4_unital):
+        rng = random.Random(q)
+        for u in unitals.values() if q == 8 else [q4_unital]:
+            for psi in sample_maps(u, rng):
+                assert (self.assert_matches(u, point_perm(u.group, psi)) >= 0).all()
+            for _ in range(3):
+                assert (self.assert_matches(u, random_perm(rng, u.n_points)) < 0).any()
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_closed(self, q, closures, q4_unital):
+        rng = random.Random(q)
+        if q == 8:
+            structures = [closures[("wu", "flat")], closures[("ou", "natural")]]
+        else:
+            pars = (flat_parallelism(q4_unital), natural_parallelism(q4_unital))
+            structures = [close(q4_unital, par) for par in pars]
+        for c in structures:
+            for psi in sample_maps(c.affine, rng):
+                ext = closed_point_map(c, psi)
+                if ext is not None:
+                    assert (self.assert_matches(c, ext) >= 0).all()
+            self.assert_matches(c, random_perm(rng, c.n_points))
+
+    def test_non_automorphism_and_other_target(self, sl2, unitals, named):
+        perm = sl2.aut_perm(AutMap(named.g, 0))
+        assert (self.assert_matches(unitals["wu"], perm) < 0).any()
+        perm = sl2.aut_perm(AutMap(named.f, 0))
+        image = self.assert_matches(unitals["ou"], perm, target=unitals["pu"])
+        assert (image >= 0).any() and (image < 0).any()
+
+    def test_short_block_onto_part_of_long_block(self, unitals, q4_unital):
+        for u in (unitals["wu"], q4_unital):
+            short, long_ = u.short_ids[0], u.long_ids[0]
+            src = u.blocks[short]
+            perm = perm_sending(u.n_points, src, u.blocks[long_][: len(src)])
+            image = self.assert_matches(u, perm)
+            assert image[short] == -1
+
+    @settings(max_examples=50, deadline=None)
+    @given(perm=st.permutations(range(60)))
+    def test_random_permutations_q4(self, q4_unital, perm):
+        assert q4_unital.n_points == 60
+        self.assert_matches(q4_unital, np.array(perm))
+
+
 class TestVerification:
     def test_catalog_passes(self, unitals):
         for name, u in unitals.items():
@@ -161,21 +250,6 @@ class TestVerification:
         failed = {c.name for c in rep.failures()}
         assert failed & {"AU3", "AU4"}
         assert len(dropped) in (8, 9)
-
-    def test_thread_count_does_not_change_results(self, unitals, closures):
-        from sl2unitals.design import pair_coverage_counts
-        import numpy as np
-
-        u = unitals["pu"]
-        serial = verify_affine_unital(u, threads=1)
-        parallel = verify_affine_unital(u, threads=3)
-        assert [(c.name, c.ok) for c in serial.checks] == [
-            (c.name, c.ok) for c in parallel.checks
-        ]
-        c = closures[("pu", "flat")]
-        assert np.array_equal(
-            pair_coverage_counts(c, threads=1), pair_coverage_counts(c, threads=4)
-        )
 
     def test_q2_degenerate_system(self):
         # q = 2 admits the empty collection of arcuate blocks

@@ -118,6 +118,9 @@ class TestVerifyConfig:
 
     def test_foreign_blocks_rejected(self, unitals, wu_paper_config):
         assert verify_config(unitals["classical8"], wu_paper_config) is False
+        off_the_points = wu_paper_config.blocks[:3] + ((0, 504),)
+        cfg = OnanConfig(blocks=off_the_points, points=wu_paper_config.points)
+        assert verify_config(unitals["wu"], cfg) is False
 
     def test_automorphism_image_is_a_configuration(self, sl2, unitals, wu_paper_config):
         maps, _ = stabilizer_of_identity(unitals["wu"])
