@@ -20,8 +20,8 @@ import importlib.resources
 from typing import NamedTuple
 
 from .design import HatSystem, check_P, check_Q
-from .gf2e import GF2e, is_irreducible, poly_degree
-from .sl2q import SL2, AutMap, Element, sl2_context
+from .gf2e import is_irreducible, poly_degree
+from .sl2q import SL2, AutMap, Element, check_q, sl2_context
 
 NAMES = ("classical8", "wu", "ou", "pu")
 
@@ -286,22 +286,24 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
             except ValueError:
                 raise ParseError(f"{key} must be an integer, got {values[0]!r}", lineno) from None
             if key == "q":
-                q = number
+                q, q_line = number, lineno
             else:
-                modulus = number
+                modulus, modulus_line = number, lineno
     if not version_seen:
         raise ParseError("missing 'unital v1' header", len(lines) or 1)
     if q is None or modulus is None:
         raise ParseError("missing q or modulus header line", len(lines))
-    e = q.bit_length() - 1
-    if 1 << e != q:
-        raise ParseError(f"q={q} is not a power of 2", 1)
+    try:
+        e = check_q(q)
+    except ValueError as exc:
+        raise ParseError(str(exc), q_line) from None
     if poly_degree(modulus) != e or not is_irreducible(modulus):
-        raise ParseError(f"modulus {modulus} is not irreducible of degree {e}", 1)
+        raise ParseError(f"modulus {modulus} is not irreducible of degree {e}", modulus_line)
     if group is None:
         group = sl2_context(q, modulus)
-    elif group.field != GF2e(e, modulus):
-        raise ParseError("file field does not match the supplied group", 1)
+    elif (group.field.q, group.field.modulus) != (q, modulus):
+        line = q_line if group.field.q != q else modulus_line
+        raise ParseError("file field does not match the supplied group", line)
 
     for lineno, line in body:
         parts = line.split()

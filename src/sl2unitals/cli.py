@@ -61,15 +61,9 @@ def _load_source(source: str, q: int, modulus: int | None):
     return catalog.parse(path.read_text())
 
 
-_unital_cache: dict = {}
-
-
 def _build(source: str, q: int, modulus: int | None):
-    key = (source, q, modulus)
-    if key not in _unital_cache:
-        system, meta = _load_source(source, q, modulus)
-        _unital_cache[key] = (build_affine_unital(system), meta)
-    return _unital_cache[key]
+    system, meta = _load_source(source, q, modulus)
+    return build_affine_unital(system), meta
 
 
 def cmd_verify(args, out: Output) -> int:
@@ -228,7 +222,7 @@ def _search_config(spec: dict, args) -> SearchConfig:
     return SearchConfig(
         q=spec.get("q", 8),
         modulus=spec.get("modulus"),
-        torus_params=tuple(spec.get("torus", (1, 1))),
+        torus_params=tuple(spec["torus"]) if "torus" in spec else None,
         constraints=tuple(constraints),
         candidate_limit=spec.get("candidate_limit"),
         node_budget=spec.get("node_budget"),

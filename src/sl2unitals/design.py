@@ -200,16 +200,6 @@ class _Incidence:
             raise UnitalError(f"points {x},{y} on blocks {int(bids[k])} and {int(table[x, y])}")
         return table
 
-    @cached_property
-    def blocks_meet(self) -> np.ndarray:
-        """Boolean matrix: blocks sharing at least one point."""
-        m = len(self.blocks)
-        meet = np.zeros((m, m), dtype=bool)
-        for pb in self.point_blocks:
-            ids = np.array(pb, dtype=np.int32)
-            meet[np.ix_(ids, ids)] = True
-        return meet
-
     def joining_block_id(self, x: int, y: int) -> int:
         if x == y:
             raise ValueError("joining block requires two distinct points")

@@ -49,9 +49,12 @@ def poly_mod(a: int, m: int) -> int:
 
 
 def is_irreducible(m: int) -> bool:
-    """Trial division of *m* by every lower-degree polynomial."""
+    """Trial division of *m* by every lower-degree polynomial.
+
+    A negative *m* is no bitmask, so no polynomial, and is rejected.
+    """
     d = poly_degree(m)
-    if d < 1:
+    if d < 1 or m < 0:
         return False
     if d == 1:
         return True

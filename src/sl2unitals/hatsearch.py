@@ -61,7 +61,8 @@ class SymmetryConstraint:
 class SearchConfig:
     q: int = 8
     modulus: int | None = None
-    torus_params: tuple[int, int] = (1, 1)  # (d, t) of the norm-1 torus
+    # (d, t) of the norm-1 torus; None takes the field's SL2.default_torus
+    torus_params: tuple[int, int] | None = None
     constraints: tuple[SymmetryConstraint, ...] = ()
     candidate_limit: int | None = None
     node_budget: int | None = None
@@ -723,6 +724,8 @@ def search(cfg: SearchConfig) -> SearchResult:
     """Candidate enumeration, cover solving, verification and dedup."""
     t0 = time.monotonic()
     group = sl2_context(cfg.q, cfg.modulus)
+    if cfg.torus_params is None:
+        cfg = replace(cfg, torus_params=group.default_torus())
     subgroup = group.cyclic_subgroup(*cfg.torus_params)
     q = cfg.q
     universe = residue_universe(group, subgroup)

@@ -6,12 +6,19 @@ common point; the six pairwise intersection points are then distinct.
 Classical unitals contain none, the three non-classical SL(2,8)-unitals
 contain many.
 
-The scan anchors a point a, runs over block pairs (B1, B2) through a,
-picks x != x' on B1 and y != y' on B2 (all away from a) and tests whether
-the joining blocks of (x, y) and (x', y') meet; every degenerate case is
-excluded automatically, so a hit is exactly a configuration.  Each
-configuration containing the anchor is found exactly once, which makes
-the per-point counts well defined.  On an affine unital the right
+The scan anchors a point a and takes each pair of blocks (B1, B2)
+through a.  Each cell (x, y), with x on B1 and y on B2 away from a, has a
+joining block J(x, y) = pair_block[x, y], which meets B1 only in x and
+B2 only in y.  Two cells in different rows and columns give a
+configuration exactly when their joining blocks meet, and then at a
+point d off B1 and B2; cells in one row or column meet only in their
+common x or y.  Two blocks share at most one point, so with k_d the
+number of cells whose joining block passes through d, the block pair
+carries the sum over d off B1 and B2 of C(k_d, 2) configurations.  One
+bincount gives the k_d of a chunk of block pairs, reading only
+``block_array`` and ``pair_block``.  A configuration through the anchor
+has exactly two of its blocks through it, so it is counted once, which
+makes the per-point counts well defined.  On an affine unital the right
 translations act transitively on points, so existence scans may anchor
 at the identity; closed unitals are scanned over every point.
 """
@@ -64,20 +71,7 @@ def verify_config(structure: _Incidence, config: OnanConfig) -> bool:
     return set(meets) == set(config.points)
 
 
-_valid_mask_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _valid_mask(nx: int, ny: int) -> np.ndarray:
-    """Cell pairs ((i,j),(k,l)) with i != k and j != l, as a flat mask."""
-    key = (nx, ny)
-    mask = _valid_mask_cache.get(key)
-    if mask is None:
-        f = np.arange(nx * ny)
-        rows = f // ny
-        cols = f % ny
-        mask = (rows[:, None] != rows[None, :]) & (cols[:, None] != cols[None, :])
-        _valid_mask_cache[key] = mask
-    return mask
+_CHUNK = 256  # block pairs per bincount; bounds the temporaries (about 4 MB at q = 8)
 
 
 def _anchored_scan(
@@ -90,40 +84,51 @@ def _anchored_scan(
 
     Returns (count, complete, checked, witness-or-None).  The enumeration
     order is fixed: block pairs ascending by id, cells in row-major order.
+    The budget admits whole block pairs, each worth its quadruple count.
     """
-    pair_block = structure.pair_block
-    meet = structure.blocks_meet
-    blocks = structure.blocks
-    pb = structure.point_blocks[anchor]
+    n, arr, sizes = structure.n_points, structure.block_array, structure.block_sizes
+    width = arr.shape[1]
+    # each block's points with the padding read as a sink point n, and a sink block last
+    points_of = np.where(np.arange(width) < sizes[:, None], arr, n)
+    points_of = np.vstack([points_of, np.full(width, n)])
+    through = np.array(structure.point_blocks[anchor], dtype=np.intp)
+    # the blocks through the anchor without it: -1 in its place and the padding's
+    own = points_of[through]
+    rows = np.where((own == anchor) | (own == n), -1, own)
+    first, second = np.triu_indices(len(through), 1)
+    ordered = (rows >= 0).sum(axis=1) * ((rows >= 0).sum(axis=1) - 1)  # (x, x') per block
+    checked = np.cumsum(ordered[first] * ordered[second] // 2)
+    stop = len(checked) if budget is None else int(np.searchsorted(checked, budget, "right"))
     count = 0
-    checked = 0
-    for i1 in range(len(pb)):
-        b1 = pb[i1]
-        xs = np.array([p for p in blocks[b1] if p != anchor], dtype=np.int32)
-        for i2 in range(i1 + 1, len(pb)):
-            b2 = pb[i2]
-            ys = np.array([p for p in blocks[b2] if p != anchor], dtype=np.int32)
-            valid = _valid_mask(len(xs), len(ys))
-            n_quads = int(valid.sum()) // 2
-            if budget is not None and checked + n_quads > budget:
-                return count, False, checked, None
-            checked += n_quads
-            joined = pair_block[np.ix_(xs, ys)].ravel()
-            hits = meet[joined[:, None], joined[None, :]] & valid
-            if want_witness and hits.any():
-                f1, f2 = np.argwhere(hits)[0]
-                ny = len(ys)
-                x, y = int(xs[f1 // ny]), int(ys[f1 % ny])
-                x2, y2 = int(xs[f2 // ny]), int(ys[f2 % ny])
-                b3, b4 = int(joined[f1]), int(joined[f2])
-                d = (set(blocks[b3]) & set(blocks[b4])).pop()
-                cfg = OnanConfig(
-                    blocks=(blocks[b1], blocks[b2], blocks[b3], blocks[b4]),
-                    points=frozenset({anchor, d, x, y, x2, y2}),
-                )
-                return 1, False, checked, cfg
-            count += int(hits.sum()) // 2
-    return count, True, checked, None
+    for lo in range(0, stop, _CHUNK):
+        pairs = np.arange(lo, min(lo + _CHUNK, stop))
+        xs, ys = rows[first[pairs], :, None], rows[second[pairs], None, :]
+        joined = np.where((xs >= 0) & (ys >= 0), structure.pair_block[xs, ys], -1)
+        points = points_of[joined]
+        keys = (np.arange(len(pairs))[:, None, None, None] * (n + 1) + points).ravel()
+        k = np.bincount(keys, minlength=len(pairs) * (n + 1)).reshape(-1, n + 1)
+        # only points off B1 and B2 count; the -1 entries clear the sink
+        k[np.arange(len(pairs))[:, None], np.hstack([xs[..., 0], ys[:, 0]])] = 0
+        per_pair = (k * (k - 1)).sum(axis=1) // 2
+        if want_witness and per_pair.any():
+            p = int(np.flatnonzero(per_pair)[0])
+            # the least cell f1 with a partner, then its least partner f2
+            cells = points[p].reshape(width * width, width)
+            f1 = int(np.argmax((k[p][cells] >= 2).any(axis=1)))
+            shared = np.isin(cells, cells[f1][k[p][cells[f1]] >= 2])
+            shared[f1] = False
+            f2 = int(np.argmax(shared.any(axis=1)))
+            (r1, c1), (r2, c2) = divmod(f1, width), divmod(f2, width)
+            four = (through[first[lo + p]], through[second[lo + p]], *joined[p].ravel()[[f1, f2]])
+            d = cells[f2][shared[f2]][0]
+            six = (anchor, d, xs[p, r1, 0], ys[p, 0, c1], xs[p, r2, 0], ys[p, 0, c2])
+            cfg = OnanConfig(
+                blocks=tuple(structure.blocks[b] for b in four),
+                points=frozenset(int(v) for v in six),
+            )
+            return 1, False, int(checked[lo + p]), cfg
+        count += int(per_pair.sum())
+    return count, stop == len(checked), int(checked[stop - 1]) if stop else 0, None
 
 
 def find_onan(structure: _Incidence, anchor: int | None = None) -> OnanConfig | None:

@@ -66,9 +66,8 @@ class SL2:
         self.index: dict[Element, int] = {t: i for i, t in enumerate(self.elements)}
 
         # Cayley table, inverse table and Frobenius permutation, all on
-        # indices.  Built vectorised; the group has at most 32736 elements
-        # (q = 32) so the q(q^2-1) squared table stays manageable for the
-        # orders used here (504 at q = 8).
+        # indices.  Built vectorised; sl2_context admits q <= 16, so the
+        # group has at most 4080 elements and the squared table 67 MB.
         n = self.order
         arr = np.array(self.elements, dtype=np.int64)
         a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
@@ -196,6 +195,14 @@ class SL2:
                 return k
         raise ValueError(f"element index {i} lies in no Sylow 2-subgroup")
 
+    def default_torus(self) -> tuple[int, int]:
+        """The first (d, t), d over the field and t over its nonzero
+        elements, with X^2 + tX + d irreducible: (1, 1) at q = 8."""
+        f = self.field
+        return next(
+            (d, t) for d in f.elements() for t in f.nonzero_elements() if f.discriminant_check(d, t)
+        )
+
     def cyclic_subgroup(self, d: int, t: int) -> frozenset[int]:
         """The norm-1 torus {(a, b; d*b, a+t*b) : a^2+tab+db^2 = 1}.
 
@@ -291,15 +298,30 @@ class SL2:
         return tuple(out)
 
 
+#: The largest supported q: the tables of SL(2,32) take several GB.
+MAX_Q = 16
+
+
+def check_q(q: int) -> int:
+    """The degree e of q = 2^e; ValueError unless q is a power of 2 in [2, MAX_Q]."""
+    if q < 2 or q & (q - 1):
+        raise ValueError(f"q={q} is not a power of 2 (at least 2)")
+    if q > MAX_Q:
+        n = q * (q * q - 1)
+        raise ValueError(
+            f"q={q} is too large (q <= {MAX_Q}): SL(2,{q}) has {n} elements, so its "
+            f"Cayley table alone needs {n * n * 4 / 1e9:.1f} GB of int32 and each "
+            f"int64 temporary of its build {n * n * 8 / 1e9:.1f} GB"
+        )
+    return q.bit_length() - 1
+
+
 _context_cache: dict[tuple[int, int], SL2] = {}
 
 
 def sl2_context(q: int = 8, modulus: int | None = None) -> SL2:
     """Shared SL2 instance for a given field (built once per process)."""
-    e = q.bit_length() - 1
-    if 1 << e != q:
-        raise ValueError(f"q={q} is not a power of 2")
-    field = GF2e(e, modulus)
+    field = GF2e(check_q(q), modulus)
     key = (field.e, field.modulus)
     ctx = _context_cache.get(key)
     if ctx is None:

@@ -45,10 +45,7 @@ def q4_unital():
     from sl2unitals.hatsearch import SearchConfig, search
     from sl2unitals.sl2q import sl2_context
 
-    f = sl2_context(4).field
-    torus = next(
-        (d, t) for d in f.elements() for t in f.nonzero_elements() if f.discriminant_check(d, t)
-    )
+    torus = sl2_context(4).default_torus()
     return build_affine_unital(search(SearchConfig(q=4, torus_params=torus)).systems[0])
 
 

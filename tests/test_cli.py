@@ -54,11 +54,18 @@ class TestVerify:
             (["unital v1", "q 8", "modulus"], 3),
             (header + ["name"], 4),
             (header + ["parallelism"], 4),
+            (["unital v1", "modulus 11", "q 6"], 3),
+            (["unital v1", "q 8", "# field", "modulus 15"], 4),
+            (["unital v1", "q 4", "modulus -7"], 3),
+            (["unital v1", "q 0", "modulus 11"], 2),
+            (["unital v1", "q -8", "modulus 11"], 2),
+            (["unital v1", "q 32", "modulus 37"], 2),
         ]:
             (tmp_path / "junk.unital").write_text("\n".join(text) + "\n")
             code, _, captured = run(capsys, "verify", str(tmp_path / "junk.unital"))
             assert code == 2
             assert captured.err.startswith(f"error: line {line}:")
+        assert "GB" in captured.err  # q 32 states the memory it would need
 
     def test_missing_source_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "no-such-thing")
@@ -92,6 +99,13 @@ class TestAut:
         assert machine["structure"] == label
         assert machine["full"] == full
         assert machine["index"] == index
+
+    def test_rewritten_file_is_rebuilt(self, capsys, tmp_path):
+        path = tmp_path / "system.unital"
+        for name, stab in (("wu", "18"), ("classical8", "54")):
+            assert run(capsys, "export", name, str(path))[0] == 0
+            code, machine, _ = run(capsys, "aut", str(path))
+            assert code == 0 and machine["stabilizer"] == stab
 
 
 class TestIso:

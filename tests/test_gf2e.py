@@ -42,6 +42,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="reducible"):
             GF2e(3, modulus=0b1111)
 
+    def test_rejects_negative_modulus(self):
+        # -7 has the bit length of X^2 + X + 1, but encodes no polynomial
+        assert not is_irreducible(-7)
+        with pytest.raises(ValueError, match="reducible"):
+            GF2e(2, modulus=-7)
+
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError, match="degree"):
             GF2e(3, modulus=0b111)

@@ -242,6 +242,11 @@ class TestSearch:
         result = search(cfg)
         assert not result.complete
 
+    def test_default_torus_q4(self):
+        default = search(SearchConfig(q=4))
+        explicit = search(SearchConfig(q=4, torus_params=(1, 2)))
+        assert default.systems and default.systems == explicit.systems
+
     def test_orbit_shape_validated(self, named):
         cfg = SearchConfig(
             constraints=(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sl2unitals.design import close, flat_parallelism, natural_parallelism
 from sl2unitals.morphisms import UnitalMap, point_perm, stabilizer_of_identity
 from sl2unitals.onan import (
     OnanConfig,
@@ -182,3 +183,59 @@ class TestCounting:
         a = count_onan_through(unitals["wu"], 0, budget=50_000)
         b = count_onan_through(unitals["wu"], 0, budget=50_000)
         assert (a.count, a.checked) == (b.count, b.checked)
+
+
+def reference_count(structure, anchor, join):
+    """Configurations through the anchor, cell pair by cell pair.
+
+    For each pair of blocks through the anchor, two cells (x, y) and
+    (x', y') with x != x' and y != y' give a configuration when their
+    joining blocks (from ``join``) share a point.
+    """
+    blocks = [set(b) for b in structure.blocks]
+    through = structure.point_blocks[anchor]
+    count = 0
+    for i, b1 in enumerate(through):
+        for b2 in through[i + 1 :]:
+            cells = [(x, y) for x in blocks[b1] - {anchor} for y in blocks[b2] - {anchor}]
+            for f, (x, y) in enumerate(cells):
+                for x2, y2 in cells[f + 1 :]:
+                    if x != x2 and y != y2 and join[x, y] & join[x2, y2]:
+                        count += 1
+    return count
+
+
+class TestKernel:
+    @pytest.fixture(scope="class")
+    def q4_structures(self, q4_unital):
+        u = q4_unital
+        return {
+            "affine": u,
+            "flat": close(u, flat_parallelism(u)),
+            "natural": close(u, natural_parallelism(u)),
+        }
+
+    @pytest.mark.parametrize("kind,total", [("affine", 46080), ("flat", 77760), ("natural", 63360)])
+    def test_counts_match_reference_on_q4(self, q4_structures, kind, total):
+        s = q4_structures[kind]
+        join = {(x, y): set(b) for b in s.blocks for x in b for y in b if x != y}
+        counts = [count_onan_through(s, p) for p in range(s.n_points)]
+        assert all(c.complete for c in counts)
+        assert [c.count for c in counts] == [reference_count(s, p, join) for p in range(s.n_points)]
+        # each configuration has six points, so it is counted at each of them
+        assert sum(c.count for c in counts) == total
+        assert total % 6 == 0
+
+    def test_wu_witness_and_budgets_fixed(self, unitals):
+        u = unitals["wu"]
+        cfg = find_onan(u, anchor=0)
+        assert cfg.blocks == (
+            (0, 2, 65, 156, 174, 266, 302, 394, 412),
+            (0, 1, 147, 202, 293, 348, 439, 494),
+            (1, 2, 3, 4, 5, 6, 7, 8),
+            (4, 75, 85, 156, 263, 333, 350, 445, 494),
+        )
+        assert cfg.points == frozenset({0, 1, 2, 4, 156, 494})
+        assert tuple(count_onan_through(u, 0, budget=100)) == (0, False, 0)
+        assert tuple(count_onan_through(u, 0, budget=50_000)) == (4787, False, 49784)
+        assert tuple(count_onan_through(u, 0)) == (287496, True, 2942352)

@@ -37,6 +37,13 @@ class TestEnumeration:
         assert len(oracle) == expected == group.order
         assert set(group.elements) == oracle
 
+    def test_unsupported_q_rejected_before_building(self):
+        for q in (0, -8, 6):
+            with pytest.raises(ValueError, match="not a power of 2"):
+                sl2_context(q)
+        with pytest.raises(ValueError, match=r"4\.3 GB"):
+            sl2_context(32)
+
     def test_identity_first_then_lex(self, sl8):
         assert sl8.elements[0] == (1, 0, 0, 1)
         rest = sl8.elements[1:]
@@ -130,6 +137,10 @@ class TestTorus:
             a, b, c, d = sl8.elements[i]
             assert c == b and d == a ^ b
             assert f.mul(a, a) ^ f.mul(a, b) ^ f.mul(b, b) == 1
+
+    def test_default_torus_is_first_irreducible(self, sl8):
+        assert sl8.default_torus() == (1, 1)
+        assert sl2_context(4).default_torus() == (1, 2)
 
     def test_reducible_parameters_rejected(self, sl8):
         with pytest.raises(ValueError, match="not a quadratic non-residue"):
