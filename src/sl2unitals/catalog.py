@@ -316,8 +316,11 @@ def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str
                 )
         elif parts[0] == "S" and len(parts) > 1 and parts[1] == "set":
             mats = [m.split() for m in line.split(":", 1)[-1].replace("S set", "").split(",")]
-            idxs = [_parse_matrix(m, lineno, group) for m in mats]
-            subgroup = frozenset(idxs)
+            subgroup = frozenset(_parse_matrix(m, lineno, group) for m in mats)
+            if len(subgroup) != q + 1:
+                raise ParseError(
+                    f"S set has {len(subgroup)} distinct elements, expected {q + 1}", lineno
+                )
         elif parts[0] == "D":
             if ":" not in line:
                 raise ParseError("base line missing ':'", lineno)

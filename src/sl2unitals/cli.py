@@ -30,6 +30,7 @@ from .design import (
 from .hatsearch import SearchConfig, SymmetryConstraint, search
 from .morphisms import are_isomorphic_affine, closures_isomorphic, stabilizer_of_identity
 from .onan import count_onan_through, find_onan
+from .sl2q import SL2, AutMap, sl2_context
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,19 +50,31 @@ class Output:
         print(f"@{key} {value}")
 
 
-def _load_source(source: str, q: int, modulus: int | None):
+def _check_field(group: SL2, q: int | None, modulus: int | None, source: str):
+    """ValueError unless the --q and --modulus flags, where given, agree
+    with the field that the input states."""
+    for flag, given, key, stated in (
+        ("--q", q, "q", group.field.q),
+        ("--modulus", modulus, "modulus", group.field.modulus),
+    ):
+        if given is not None and given != stated:
+            raise ValueError(f"{flag} {given} disagrees with {source}, which has {key} {stated}")
+
+
+def _load_source(source: str, q: int | None, modulus: int | None):
     """A hat system from a catalog name or a file path."""
     if source in catalog.NAMES:
-        if q != 8 or (modulus not in (None, 11)):
-            raise ValueError("catalog entries are defined for q=8, modulus 11")
-        return catalog.load(source), {}
-    path = Path(source)
-    if not path.exists():
-        raise ValueError(f"unknown catalog name or missing file: {source}")
-    return catalog.parse(path.read_text())
+        system, meta = catalog.load(source), {}
+    else:
+        path = Path(source)
+        if not path.exists():
+            raise ValueError(f"unknown catalog name or missing file: {source}")
+        system, meta = catalog.parse(path.read_text())
+    _check_field(system.group, q, modulus, source)
+    return system, meta
 
 
-def _build(source: str, q: int, modulus: int | None):
+def _build(source: str, q: int | None, modulus: int | None):
     system, meta = _load_source(source, q, modulus)
     return build_affine_unital(system), meta
 
@@ -194,35 +207,75 @@ def cmd_export(args, out: Output) -> int:
     return EXIT_OK
 
 
-def _search_config(spec: dict, args) -> SearchConfig:
-    from .sl2q import AutMap, sl2_context
+_JSON_TYPES = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+}
 
-    group = sl2_context(spec.get("q", 8), spec.get("modulus"))
+#: The JSON type of each documented key of a search config.
+_CONFIG_KEYS = {
+    "q": int, "modulus": int, "torus": list, "constraints": list, "candidate_limit": int,
+    "node_budget": int, "time_budget_sec": float, "branches": int, "dedup": str,
+    "method": str, "out_dir": str,
+}
+
+
+def _typed(value, kind: type, where: str):
+    """The value, or a ValueError naming ``where`` unless it has the JSON type ``kind``."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"search config: {where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _int_list(value, where: str, length: int | None = None) -> tuple[int, ...]:
+    items = _typed(value, list, where)
+    if length is not None and len(items) != length:
+        raise ValueError(f"search config: {where} must have {length} entries, got {value!r}")
+    return tuple(_typed(v, int, f"each entry of {where}") for v in items)
+
+
+def _search_config(spec, args) -> SearchConfig:
+    spec = _typed(spec, dict, "the top level")
+    spec = {k: v for k, v in spec.items() if v is not None}  # null reads as not given
+    for key, kind in _CONFIG_KEYS.items():
+        if key in spec:
+            _typed(spec[key], kind, repr(key))
+    q = spec.get("q", 8)
+    group = sl2_context(q, spec.get("modulus"))
+    _check_field(group, args.q, args.modulus, args.config)
     named = {"g": catalog.G_MATRIX, "f": catalog.F_MATRIX, "one": group.one}
-    if spec.get("q", 8) == 8:
+    if q == 8:
         gi = group.idx(catalog.G_MATRIX)
         named["g3"] = group.elements[group.cayley[group.cayley[gi, gi], gi]]
     constraints = []
-    for cs in spec.get("constraints", []):
+    for ci, cs in enumerate(spec.get("constraints", [])):
+        where = f"constraint {ci}"
+        cs = _typed(cs, dict, where)
+        if "mode" not in cs:
+            raise ValueError(f"search config: {where} has no 'mode'")
         gens = []
-        for g in cs.get("generators", []):
+        for k, g in enumerate(_typed(cs.get("generators", []), list, f"{where} 'generators'")):
+            g = _typed(g, dict, f"generator {k} of {where}")
             conj = g.get("conjugator", "one")
             if isinstance(conj, str):
                 if conj not in named:
                     raise ValueError(f"unknown named conjugator {conj!r}")
                 conj = named[conj]
             else:
-                conj = group.element(*conj)
-            gens.append(AutMap(conj, int(g.get("frob", 0))))
+                conj = group.element(*_int_list(conj, f"the conjugator of {where}", 4))
+            frob = _typed(g.get("frob", 0), int, f"the 'frob' of {where}")
+            gens.append(AutMap(conj, frob))
         constraints.append(
             SymmetryConstraint(
-                tuple(gens), cs["mode"], tuple(cs.get("orbit_shape", ()))
+                tuple(gens),
+                cs["mode"],
+                _int_list(cs.get("orbit_shape", []), f"the 'orbit_shape' of {where}"),
             )
         )
     return SearchConfig(
-        q=spec.get("q", 8),
+        q=q,
         modulus=spec.get("modulus"),
-        torus_params=tuple(spec["torus"]) if "torus" in spec else None,
+        torus_params=_int_list(spec["torus"], "'torus'", 2) if "torus" in spec else None,
         constraints=tuple(constraints),
         candidate_limit=spec.get("candidate_limit"),
         node_budget=spec.get("node_budget"),
@@ -239,7 +292,7 @@ def cmd_search(args, out: Output) -> int:
     t0 = time.monotonic()
     result = search(cfg)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
-    out_dir = Path(args.out or spec.get("out_dir", "."))
+    out_dir = Path(args.out or spec.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, system in enumerate(result.systems):
         path = out_dir / f"system_{i:03d}.unital"
@@ -261,8 +314,13 @@ def main(argv: list[str] | None = None) -> int:
         prog="sl2unitals",
         description="Affine SL(2,q)-unitals: verification, automorphisms, closures, search",
     )
-    parser.add_argument("--q", type=int, default=8, help="field size (default 8)")
-    parser.add_argument("--modulus", type=int, default=None, help="field modulus bitmask")
+    parser.add_argument(
+        "--q", type=int, default=None, help="field size; where given, the input's q must match"
+    )
+    parser.add_argument(
+        "--modulus", type=int, default=None,
+        help="field modulus bitmask; where given, the input's modulus must match",
+    )
     parser.add_argument(
         "--threads", type=int, default=None,
         help="search branch workers (default: the config's branches, or 1)",

@@ -10,8 +10,8 @@ pairwise quotients {x * y^-1 : x != y in D}, the system is admissible when
 
 The affine unital then has point set SL(2,q) and blocks all right cosets
 Sg, all right cosets of the Sylow subgroups ("short" blocks, size q) and
-all right translates Dg of the base blocks.  Blocks are stored as sorted
-tuples of element indices.
+all right translates Dg of the base blocks.  Blocks are stored as the
+sorted rows of an int array of element indices.
 
 Closures: a parallelism groups the short blocks into q+1 classes of
 pairwise disjoint blocks; adding one ideal point per class plus the block
@@ -129,41 +129,47 @@ def check_P(system: HatSystem) -> bool:
 class _Incidence:
     """Shared lookup machinery for affine and closed structures.
 
-    Incidence is held in two arrays: the blocks as the rows of
+    Incidence is held in two arrays: the blocks as the rows of the int32
     ``block_array``, and ``pair_block``, the block through each pair of
-    points.  Two points lie on at most one block, so the second is enough
-    to find the image of any block under a point map (``block_image``).
+    points.  A block shorter than the longest repeats its last point, so
+    every entry is a point of its own block; ``block_sizes`` has the
+    lengths.  Two points lie on at most one block, so the pair table is
+    enough to find the image of any block under a point map
+    (``block_image``).  The tuple list ``blocks`` and ``point_blocks`` are
+    derived from the arrays when asked for.
     """
 
-    def __init__(self, n_points: int, blocks: list[tuple[int, ...]]):
+    def __init__(self, n_points: int, block_array: np.ndarray, block_sizes: np.ndarray):
         self.n_points = n_points
-        self.blocks = blocks
+        self.block_array = block_array
+        self.block_sizes = block_sizes
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The blocks as sorted point tuples."""
+        rows = self.block_array.tolist()
+        return [tuple(row[:size]) for row, size in zip(rows, self.block_sizes.tolist())]
 
     @cached_property
     def block_index(self) -> dict[tuple[int, ...], int]:
         return {b: i for i, b in enumerate(self.blocks)}
 
-    @cached_property
-    def point_blocks(self) -> list[list[int]]:
-        pb: list[list[int]] = [[] for _ in range(self.n_points)]
-        for bid, b in enumerate(self.blocks):
-            for p in b:
-                pb[p].append(bid)
-        return pb
+    def _live(self) -> np.ndarray:
+        """The points of every block, block by block, without the padding."""
+        return self.block_array[np.arange(self.block_array.shape[1]) < self.block_sizes[:, None]]
+
+    def degrees(self) -> np.ndarray:
+        """The number of blocks through each point."""
+        return np.bincount(self._live(), minlength=self.n_points)
 
     @cached_property
-    def block_array(self) -> np.ndarray:
-        """The blocks as the rows of an int32 array.
-
-        A block shorter than the longest repeats its last point, so every
-        entry is a point of its own block; ``block_sizes`` has the lengths.
-        """
-        width = max(map(len, self.blocks))
-        return np.array([b + b[-1:] * (width - len(b)) for b in self.blocks], dtype=np.int32)
-
-    @cached_property
-    def block_sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.blocks], dtype=np.int32)
+    def point_blocks(self) -> list[np.ndarray]:
+        """Per point, the ids of the blocks through it in ascending order."""
+        live = self._live()
+        bids = np.repeat(np.arange(len(self.block_sizes), dtype=np.int32), self.block_sizes)
+        # a stable sort keeps the block ids of each point in ascending order
+        order = np.argsort(live, kind="stable")
+        return np.split(bids[order], np.cumsum(np.bincount(live, minlength=self.n_points))[:-1])
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every point pair of every block, in one vectorised pass.
@@ -175,7 +181,7 @@ class _Incidence:
         """
         rows, cols = np.triu_indices(self.block_array.shape[1], 1)
         live = cols < self.block_sizes[:, None]
-        bids = np.repeat(np.arange(len(self.blocks), dtype=np.int32), live.sum(axis=1))
+        bids = np.repeat(np.arange(len(self.block_sizes), dtype=np.int32), live.sum(axis=1))
         return self.block_array[:, rows][live], self.block_array[:, cols][live], bids
 
     @cached_property
@@ -188,7 +194,7 @@ class _Incidence:
         """
         n = self.n_points
         xs, ys, bids = self._pairs()
-        dtype = np.int16 if len(self.blocks) < 2**15 else np.int32
+        dtype = np.int16 if len(self.block_sizes) < 2**15 else np.int32
         table = np.full((n, n), -1, dtype=dtype)
         table[xs, ys] = bids
         table[ys, xs] = bids
@@ -235,65 +241,57 @@ class _Incidence:
 
 
 class AffineUnital(_Incidence):
-    """Block structure of a hat system, with origin tags per block."""
+    """Block structure of a hat system, with the origin of each block.
+
+    Block ``bid`` is the right translate of ``families[block_family[bid]]``
+    by the element ``block_g[bid]``, where the families are S, the Sylow
+    subgroups in order and the bases in order.  Blocks are numbered in the
+    order (family, g) with repeats dropped.
+    """
 
     def __init__(self, system: HatSystem):
         self.system = system
-        self.group = system.group
-        group = system.group
-        cay = group.cayley
-
-        blocks: list[tuple[int, ...]] = []
-        tags: list[tuple[str, int]] = []
-        seen: dict[tuple[int, ...], int] = {}
-        # Counts arcuate translates colliding with an existing block, which
-        # happens exactly when a base has a nontrivial right stabilizer
-        # (never for the built-in systems).
-        self.duplicate_blocks = 0
-
-        def emit(block: tuple[int, ...], tag: tuple[str, int]) -> bool:
-            if block in seen:
-                return False
-            seen[block] = len(blocks)
-            blocks.append(block)
-            tags.append(tag)
-            return True
-
-        s_arr = sorted(system.subgroup)
-        for g in range(group.order):
-            emit(tuple(sorted(int(cay[s, g]) for s in s_arr)), ("S", -1))
-        self.short_rep: dict[int, tuple[int, int]] = {}
-        for ti, syl in enumerate(group.sylow_subgroups):
-            t_arr = sorted(syl)
-            for g in range(group.order):
-                block = tuple(sorted(int(cay[t, g]) for t in t_arr))
-                if block not in seen:
-                    self.short_rep[len(blocks)] = (ti, g)
-                emit(block, ("T", ti))
-        for di, base in enumerate(system.bases):
-            d_arr = sorted(base)
-            for g in range(group.order):
-                if not emit(tuple(sorted(int(cay[x, g]) for x in d_arr)), ("D", di)):
-                    self.duplicate_blocks += 1
-
-        super().__init__(group.order, blocks)
-        self.tags = tags
-        self.short_ids = [i for i, b in enumerate(blocks) if len(b) == group.field.q]
-        self.long_ids = [i for i, b in enumerate(blocks) if len(b) == group.field.q + 1]
+        self.group = group = system.group
+        n, q = group.order, group.field.q
+        families = [system.subgroup, *group.sylow_subgroups, *system.bases]
+        rows = []
+        for f in families:
+            # row g is the translate by g; a short row repeats its last point
+            translates = np.sort(group.cayley[sorted(f)].T, axis=1)
+            rows.append(np.pad(translates, [(0, 0), (0, q + 1 - len(f))], "edge"))
+        rows = np.concatenate(rows)
+        # the first occurrence of each block, in the order of the rows
+        first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        self.block_family, self.block_g = np.divmod(first, n)
+        # Arcuate translates colliding with an existing block, which happens
+        # exactly when a base has a nontrivial right stabilizer (never for
+        # the built-in systems).
+        self.duplicate_blocks = len(system.bases) * n - int((self.block_family > q + 1).sum())
+        sizes = np.array([len(f) for f in families], dtype=np.int32)[self.block_family]
+        super().__init__(n, rows[first], sizes)
+        self.short_ids = np.flatnonzero(sizes == q)
+        self.long_ids = np.flatnonzero(sizes == q + 1)
 
     @cached_property
-    def blocks_through_identity(self) -> tuple[int, ...]:
-        return tuple(self.point_blocks[0])
+    def tags(self) -> list[tuple[str, int]]:
+        """Per block, ("S", -1), ("T", Sylow index) or ("D", base index)."""
+        q = self.group.field.q
+        return [
+            ("S", -1) if f == 0 else ("T", f - 1) if f <= q + 1 else ("D", f - q - 2)
+            for f in self.block_family.tolist()
+        ]
+
+    @property
+    def blocks_through_identity(self) -> np.ndarray:
+        return self.point_blocks[0]
 
     @cached_property
     def hats(self) -> tuple[frozenset[int], ...]:
         """Per base, the block ids of its q+1 translates through 1."""
-        out: list[set[int]] = [set() for _ in self.system.bases]
-        for bid in self.blocks_through_identity:
-            kind, k = self.tags[bid]
-            if kind == "D":
-                out[k].add(bid)
-        return tuple(frozenset(s) for s in out)
+        through = self.blocks_through_identity
+        family = self.block_family[through] - (self.group.field.q + 2)
+        bases = range(len(self.system.bases))
+        return tuple(frozenset(through[family == k].tolist()) for k in bases)
 
     def translate_block_id(self, bid: int, h: int) -> int:
         """Id of the right translate (block * h)."""
@@ -366,21 +364,19 @@ def verify_affine_unital(unital: AffineUnital) -> Report:
     n = unital.n_points
 
     rep.counts["points"] = n
-    rep.counts["blocks"] = len(unital.blocks)
+    rep.counts["blocks"] = len(unital.block_sizes)
     rep.counts["short"] = len(unital.short_ids)
     rep.counts["long"] = len(unital.long_ids)
     rep.counts["duplicates"] = unital.duplicate_blocks
 
     rep.add("AU1", n == q**3 - q, f"{n} points")
-    bad_size = [b for b in unital.blocks if len(b) not in (q, q + 1)]
-    rep.add("AU2", not bad_size, "" if not bad_size else f"block of size {len(bad_size[0])}")
+    sizes = unital.block_sizes
+    bad = np.flatnonzero((sizes != q) & (sizes != q + 1))
+    rep.add("AU2", not len(bad), f"block of size {sizes[bad[0]]}" if len(bad) else "")
 
-    deg_bad = [(p, len(pb)) for p, pb in enumerate(unital.point_blocks) if len(pb) != q * q]
-    rep.add(
-        "AU3",
-        not deg_bad,
-        "" if not deg_bad else f"point {deg_bad[0][0]} on {deg_bad[0][1]} blocks",
-    )
+    deg = unital.degrees()
+    bad = np.flatnonzero(deg != q * q)
+    rep.add("AU3", not len(bad), f"point {bad[0]} on {deg[bad[0]]} blocks" if len(bad) else "")
 
     ok, detail = _unique_joining_check(unital)
     rep.add("AU4", ok, detail)
@@ -413,7 +409,7 @@ class Parallelism:
         One entry longer than the block list, so that the block id -1 (no
         block) reads as no class as well.
         """
-        out = np.full(len(self.unital.blocks) + 1, -1, dtype=np.int32)
+        out = np.full(len(self.unital.block_sizes) + 1, -1, dtype=np.int32)
         for ci, cl in enumerate(self.classes):
             out[list(cl)] = ci
         return out
@@ -456,57 +452,51 @@ def parallelism_witness(unital: AffineUnital, par: Parallelism) -> str | None:
     q = unital.group.field.q
     if len(par.classes) != q + 1:
         return f"{len(par.classes)} classes, expected {q + 1}"
-    seen: set[int] = set()
+    placed: set[int] = set()
     for ci, cl in enumerate(par.classes):
         if len(cl) != q * q - 1:
             return f"class {ci} has {len(cl)} blocks, expected {q * q - 1}"
         covered: set[int] = set()
         for bid in cl:
-            b = unital.blocks[bid]
-            if len(b) != q:
+            if unital.block_sizes[bid] != q:
                 return f"class {ci} contains non-short block {bid}"
+            b = unital.block_array[bid, :q].tolist()
             if covered.intersection(b):
                 return f"class {ci} has intersecting blocks"
             covered.update(b)
-        if seen.intersection(cl):
+        if placed.intersection(cl):
             return f"class {ci} repeats a block"
-        seen.update(cl)
-    if seen != set(unital.short_ids):
+        placed.update(cl)
+    if placed != set(unital.short_ids.tolist()):
         return "classes do not cover all short blocks"
     return None
 
 
+def _parallelism(unital: AffineUnital, name: str, label: np.ndarray) -> Parallelism:
+    """The short blocks grouped by ``label`` (a Sylow index per short block)."""
+    labels = np.unique(label)
+    short = unital.short_ids
+    classes = tuple(frozenset(short[label == t].tolist()) for t in labels)
+    return Parallelism(unital, name, classes, tuple(labels.tolist()))
+
+
 def flat_parallelism(unital: AffineUnital) -> Parallelism:
     """Short blocks grouped as right cosets of each Sylow subgroup."""
-    groups: dict[int, set[int]] = {}
-    for bid in unital.short_ids:
-        ti = unital.tags[bid][1]
-        groups.setdefault(ti, set()).add(bid)
-    labels = tuple(sorted(groups))
-    return Parallelism(
-        unital,
-        "flat",
-        tuple(frozenset(groups[t]) for t in labels),
-        labels,
-    )
+    return _parallelism(unital, "flat", unital.block_family[unital.short_ids] - 1)
 
 
 def natural_parallelism(unital: AffineUnital) -> Parallelism:
     """Short blocks grouped as left cosets: Tg lands with T conjugated by g."""
     group = unital.group
-    sylow_lookup = {s: i for i, s in enumerate(group.sylow_subgroups)}
-    groups: dict[int, set[int]] = {}
-    for bid in unital.short_ids:
-        ti, g = unital.short_rep[bid]
-        conj = frozenset(group.conj_idx(t, g) for t in group.sylow_subgroups[ti])
-        groups.setdefault(sylow_lookup[conj], set()).add(bid)
-    labels = tuple(sorted(groups))
-    return Parallelism(
-        unital,
-        "natural",
-        tuple(frozenset(groups[t]) for t in labels),
-        labels,
-    )
+    sylows = group.sylow_subgroups
+    sylow_of = np.zeros(group.order, dtype=np.intp)
+    for k, syl in enumerate(sylows):
+        sylow_of[sorted(syl)] = k
+    # Sylow subgroups meet only in 1, so T^g is the one holding t^g for any t != 1 in T
+    t = np.array([min(syl - {0}) for syl in sylows])[unital.block_family[unital.short_ids] - 1]
+    g = unital.block_g[unital.short_ids]
+    conj = group.cayley[group.cayley[group.inverse_index[g], t], g]
+    return _parallelism(unital, "natural", sylow_of[conj])
 
 
 def parallelism_by_name(unital: AffineUnital, name: str) -> Parallelism:
@@ -533,22 +523,22 @@ class ClosedUnital(_Incidence):
             raise UnitalError(f"invalid parallelism: {err}")
         self.affine = unital
         self.parallelism = par
-        n = unital.n_points
+        n, q = unital.n_points, unital.group.field.q
         n_points = n + len(par.classes)
-        cls = par.block_class
-        blocks: list[tuple[int, ...]] = []
-        for bid, b in enumerate(unital.blocks):
-            if cls[bid] >= 0:
-                blocks.append(b + (n + int(cls[bid]),))
-            else:
-                blocks.append(b)
-        self.infinity_block_id = len(blocks)
-        blocks.append(tuple(range(n, n_points)))
-        super().__init__(n_points, blocks)
+        cls = par.block_class[:-1]
+        members = np.flatnonzero(cls >= 0)
+        # a short block's padding column q takes the ideal point of its class
+        arr = unital.block_array.copy()
+        arr[members, q] = n + cls[members]
+        sizes = unital.block_sizes + (cls >= 0)
+        self.infinity_block_id = len(arr)
+        infinity = np.arange(n, n_points, dtype=np.int32)
+        sizes = np.append(sizes, n_points - n).astype(np.int32)
+        super().__init__(n_points, np.vstack([arr, infinity]), sizes)
 
     @property
     def ideal_points(self) -> tuple[int, ...]:
-        return self.blocks[self.infinity_block_id]
+        return tuple(range(self.affine.n_points, self.n_points))
 
     def ideal_point_of_class(self, ci: int) -> int:
         return self.affine.n_points + ci
@@ -568,12 +558,13 @@ def verify_design(closed: ClosedUnital) -> Report:
     q = closed.affine.group.field.q
     n = closed.n_points
     rep.counts["points"] = n
-    rep.counts["blocks"] = len(closed.blocks)
+    rep.counts["blocks"] = len(closed.block_sizes)
 
     rep.add("points", n == q**3 + 1, f"{n} points")
-    bad = [b for b in closed.blocks if len(b) != q + 1]
-    rep.add("block-size", not bad, "" if not bad else f"block of size {len(bad[0])}")
-    deg = {len(pb) for pb in closed.point_blocks}
+    sizes = closed.block_sizes
+    bad = np.flatnonzero(sizes != q + 1)
+    rep.add("block-size", not len(bad), f"block of size {sizes[bad[0]]}" if len(bad) else "")
+    deg = set(closed.degrees().tolist())
     rep.counts["replication"] = max(deg) if deg else 0
     rep.add("replication", deg == {q * q}, f"degrees {sorted(deg)}")
     ok, detail = _unique_joining_check(closed)

@@ -71,7 +71,13 @@ class SearchConfig:
     dedup: str = "iso"  # "iso" | "none"
     # "auto" enumerates structured (hat-fixed) candidates when stabilize
     # constraints exist; "generic" forces the complete slow reference.
-    method: str = "auto"
+    method: str = "auto"  # "auto" | "structured" | "generic"
+
+    def __post_init__(self):
+        if self.dedup not in ("iso", "none"):
+            raise ValueError(f"unknown dedup {self.dedup!r}")
+        if self.method not in ("auto", "structured", "generic"):
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,11 @@ def verify_config(structure: _Incidence, config: OnanConfig) -> bool:
     blocks = [tuple(sorted(b)) for b in config.blocks]
     if len(set(blocks)) != 4 or not all(len(b) > 1 and 0 <= b[0] and b[-1] < n for b in blocks):
         return False
-    # The blocks as given, mapped into the structure by the identity.
-    if (_Incidence(n, blocks).block_image(np.arange(n), target=structure) < 0).any():
+    # The blocks as given, padded like block_array, mapped into the structure by the identity.
+    width = max(map(len, blocks))
+    padded = np.array([b + b[-1:] * (width - len(b)) for b in blocks], dtype=np.int32)
+    given = _Incidence(n, padded, np.array([len(b) for b in blocks], dtype=np.int32))
+    if (given.block_image(np.arange(n), target=structure) < 0).any():
         return False
     meets = []
     sets = [set(b) for b in blocks]

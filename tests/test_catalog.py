@@ -1,6 +1,8 @@
 """Catalog data, defining relations, and the file format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2unitals import catalog
 from sl2unitals.catalog import (
@@ -12,7 +14,7 @@ from sl2unitals.catalog import (
     parse,
     serialize,
 )
-from sl2unitals.design import check_P, check_Q
+from sl2unitals.design import HatSystem, check_P, check_Q
 
 
 class TestEntries:
@@ -148,3 +150,70 @@ class TestFileFormat:
         commented = "# banner\n" + text.replace("q 8", "q 8  # field size")
         system, _ = parse(commented, group=sl2)
         assert system.bases == load("ou").bases
+
+
+def relabelled(group, system, alpha_index, picks):
+    """The image of a hat system under the automorphism all_aut_maps[alpha_index],
+    with base k moved through the identity by the inverse of its element picks[k]."""
+    perm = group.aut_perm(group.all_aut_maps[alpha_index])
+    cay, inv = group.cayley, group.inverse_index
+    bases = []
+    for base, pick in zip(system.bases, picks):
+        image = sorted(int(perm[x]) for x in base)
+        d_inv = int(inv[image[pick % len(image)]])
+        bases.append(tuple(sorted(int(cay[x, d_inv]) for x in image)))
+    return HatSystem(group, frozenset(int(perm[x]) for x in system.subgroup), tuple(bases))
+
+
+#: Tokens that a mutated file may carry in place of one of its own.
+JUNK_TOKENS = ["", "x", "-1", "0", "2", "4", "8", "11", "999", ",", ":", "S", "D", "q", "gen"]
+
+
+class TestFileFormatProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(catalog.NAMES),
+        alpha=st.integers(0, 1511),
+        picks=st.lists(st.integers(0, 8), min_size=6, max_size=6),
+    )
+    def test_round_trip_relabelled(self, sl2, name, alpha, picks):
+        system = relabelled(sl2, load(name, sl2), alpha, picks)
+        text = serialize(system, name=name)
+        back, meta = parse(text, group=sl2)
+        assert (back.subgroup, back.bases, meta) == (system.subgroup, system.bases, {"name": name})
+        assert serialize(back, name=name) == text
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(catalog.NAMES),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["drop", "duplicate", "swap", "replace"]),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.sampled_from(JUNK_TOKENS),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_file_raises_only_parse_error(self, sl2, name, edits):
+        lines = serialize(load(name, sl2), name=name).splitlines()
+        for op, i, j, token in edits:
+            if not lines:
+                break
+            i, j = i % len(lines), j % len(lines)
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(j, lines[i])
+            elif op == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                words = lines[i].split(" ")
+                words[j % len(words)] = token
+                lines[i] = " ".join(words)
+        try:
+            parse("\n".join(lines) + "\n", group=sl2)
+        except ParseError:
+            pass

@@ -54,6 +54,7 @@ class TestVerify:
             (["unital v1", "q 8", "modulus"], 3),
             (header + ["name"], 4),
             (header + ["parallelism"], 4),
+            (header + ["S set 1 0 0 1"], 4),
             (["unital v1", "modulus 11", "q 6"], 3),
             (["unital v1", "q 8", "# field", "modulus 15"], 4),
             (["unital v1", "q 4", "modulus -7"], 3),
@@ -66,6 +67,21 @@ class TestVerify:
             assert code == 2
             assert captured.err.startswith(f"error: line {line}:")
         assert "GB" in captured.err  # q 32 states the memory it would need
+
+    def test_field_flags_must_match_the_input(self, capsys, tmp_path):
+        path = tmp_path / "wu.unital"
+        assert run(capsys, "export", "wu", str(path))[0] == 0
+        for flags, source, named in [
+            (["--q", "4", "--modulus", "7"], str(path), "--q 4"),
+            (["--modulus", "13"], str(path), "--modulus 13"),
+            (["--q", "4"], "wu", "--q 4"),
+        ]:
+            code, _, captured = run(capsys, *flags, "aut", source)
+            assert code == 2
+            assert named in captured.err and captured.out == ""
+        for source in ("wu", str(path)):
+            code, machine, _ = run(capsys, "--q", "8", "--modulus", "11", "aut", source)
+            assert code == 0 and machine["stabilizer"] == "18"
 
     def test_missing_source_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "no-such-thing")
@@ -229,3 +245,25 @@ class TestSearch:
         p.write_text("{not json")
         code, _, _ = run(capsys, "search", str(p))
         assert code == 2
+
+    def test_malformed_config_is_input_error(self, capsys, tmp_path):
+        q4 = {"q": 4, "torus": [1, 2]}
+        p = tmp_path / "config.json"
+        for spec, key in [
+            ({"q": "8"}, "'q'"),
+            (dict(q4, candidate_limit="5"), "'candidate_limit'"),
+            ([1, 2], "top level"),
+            (dict(q4, constraints=[{"generators": []}]), "'mode'"),
+            (dict(q4, dedup="nope"), "dedup"),
+            (dict(q4, method="nope"), "method"),
+        ]:
+            p.write_text(json.dumps(spec))
+            code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
+            assert code == 2, spec
+            assert key in captured.err and "Traceback" not in captured.out + captured.err
+
+    def test_field_flags_must_match_the_config(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+        code, _, captured = run(capsys, "--q", "8", "search", str(p), "--out", str(tmp_path))
+        assert code == 2 and "--q 8" in captured.err and "q 4" in captured.err

@@ -230,6 +230,98 @@ class TestBlockImage:
         self.assert_matches(q4_unital, np.array(perm))
 
 
+def reference_incidence(system):
+    """The affine blocks straight from the definition, as tuples.
+
+    For each family (S, the Sylow subgroups, the bases) and each g in
+    order, the block sorted(family * g), keeping the first occurrence.
+    Returns the blocks, the family index and translator g of each block,
+    and the number of dropped base translates.
+    """
+    group = system.group
+    families = [system.subgroup, *group.sylow_subgroups, *system.bases]
+    blocks, origin, index, dropped = [], [], set(), 0
+    for f, fam in enumerate(families):
+        for g in range(group.order):
+            block = tuple(sorted(group.mul_idx(x, g) for x in fam))
+            if block in index:
+                dropped += f > group.field.q + 1
+                continue
+            index.add(block)
+            blocks.append(block)
+            origin.append((f, g))
+    return blocks, origin, dropped
+
+
+def reference_point_blocks(n, blocks):
+    out = [[] for _ in range(n)]
+    for bid, block in enumerate(blocks):
+        for p in block:
+            out[p].append(bid)
+    return out
+
+
+class TestIncidenceOracle:
+    """The array-built structures against the tuple-level definition."""
+
+    @pytest.fixture(params=["q2", "q4", "wu", "repeated"])
+    def affine(self, request, unitals, q4_unital):
+        if request.param == "q2":
+            group = sl2_context(2)
+            return build_affine_unital(HatSystem(group, group.cyclic_subgroup(1, 1), ()))
+        if request.param == "repeated":
+            # S as its own base: every translate repeats a coset of S
+            s = q4_unital.system.subgroup
+            return AffineUnital(HatSystem(q4_unital.group, s, (tuple(sorted(s)),)))
+        return q4_unital if request.param == "q4" else unitals["wu"]
+
+    def assert_structure(self, structure, blocks):
+        assert structure.blocks == blocks
+        assert structure.block_sizes.tolist() == [len(b) for b in blocks]
+        got = [pb.tolist() for pb in structure.point_blocks]
+        assert got == reference_point_blocks(structure.n_points, blocks)
+
+    def test_affine(self, affine):
+        q = affine.group.field.q
+        blocks, origin, dropped = reference_incidence(affine.system)
+        self.assert_structure(affine, blocks)
+        assert affine.short_ids.tolist() == [i for i, b in enumerate(blocks) if len(b) == q]
+        assert affine.long_ids.tolist() == [i for i, b in enumerate(blocks) if len(b) == q + 1]
+        assert affine.duplicate_blocks == dropped
+        assert dropped == (affine.n_points if len(affine.system.bases) == 1 else 0)
+        hats = [
+            frozenset(i for i, b in enumerate(blocks) if 0 in b and origin[i][0] == q + 2 + k)
+            for k in range(len(affine.system.bases))
+        ]
+        assert list(affine.hats) == hats
+
+    def test_closures(self, affine):
+        group, q, n = affine.group, affine.group.field.q, affine.n_points
+        blocks, origin, _ = reference_incidence(affine.system)
+        sylows = list(group.sylow_subgroups)
+        labels = {"flat": {}, "natural": {}}
+        for bid, (f, g) in enumerate(origin):
+            if len(blocks[bid]) == q:
+                labels["flat"][bid] = f - 1
+                conj = frozenset(group.conj_idx(t, g) for t in sylows[f - 1])
+                labels["natural"][bid] = sylows.index(conj)
+        for name, build in (("flat", flat_parallelism), ("natural", natural_parallelism)):
+            par = build(affine)
+            want = sorted(set(labels[name].values()))
+            assert list(par.labels) == want
+            assert list(par.classes) == [
+                frozenset(b for b, t in labels[name].items() if t == label) for label in want
+            ]
+            closed = close(affine, par)
+            ideal = {b: n + want.index(t) for b, t in labels[name].items()}
+            infinity = tuple(range(n, n + q + 1))
+            closed_blocks = [b + (ideal[i],) if i in ideal else b for i, b in enumerate(blocks)]
+            self.assert_structure(closed, closed_blocks + [infinity])
+            assert closed.ideal_points == infinity
+            assert closed.infinity_block_id == len(blocks)
+            assert closed.block_array[-1].tolist() == list(infinity)
+
+
 class TestVerification:
     def test_catalog_passes(self, unitals):
         for name, u in unitals.items():
@@ -241,10 +333,15 @@ class TestVerification:
     def test_dropping_a_block_fails(self, unitals):
         u = unitals["wu"]
         broken = AffineUnital(u.system)
-        dropped = broken.blocks.pop()
-        broken.tags.pop()
-        broken.short_ids = [i for i, b in enumerate(broken.blocks) if len(b) == 8]
-        broken.long_ids = [i for i, b in enumerate(broken.blocks) if len(b) == 9]
+        dropped = tuple(broken.block_array[-1, : broken.block_sizes[-1]])
+        # drop the last row of the primary arrays; the tuple views follow them
+        broken.block_array = broken.block_array[:-1]
+        broken.block_sizes = broken.block_sizes[:-1]
+        broken.block_family = broken.block_family[:-1]
+        broken.block_g = broken.block_g[:-1]
+        broken.short_ids = np.flatnonzero(broken.block_sizes == 8)
+        broken.long_ids = np.flatnonzero(broken.block_sizes == 9)
+        assert len(broken.blocks) == 3646
         rep = verify_affine_unital(broken)
         assert not rep.ok
         failed = {c.name for c in rep.failures()}
