@@ -234,8 +234,16 @@ def _int_list(value, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(_typed(v, int, f"each entry of {where}") for v in items)
 
 
+def _known_keys(spec: dict, known, where: str):
+    """ValueError naming the first key of ``spec`` that is not in ``known``."""
+    for key in spec:
+        if key not in known:
+            raise ValueError(f"search config: unknown key {key!r} in {where}")
+
+
 def _search_config(spec, args) -> SearchConfig:
     spec = _typed(spec, dict, "the top level")
+    _known_keys(spec, _CONFIG_KEYS, "the top level")
     spec = {k: v for k, v in spec.items() if v is not None}  # null reads as not given
     for key, kind in _CONFIG_KEYS.items():
         if key in spec:
@@ -251,11 +259,13 @@ def _search_config(spec, args) -> SearchConfig:
     for ci, cs in enumerate(spec.get("constraints", [])):
         where = f"constraint {ci}"
         cs = _typed(cs, dict, where)
+        _known_keys(cs, ("generators", "mode", "orbit_shape"), where)
         if "mode" not in cs:
             raise ValueError(f"search config: {where} has no 'mode'")
         gens = []
         for k, g in enumerate(_typed(cs.get("generators", []), list, f"{where} 'generators'")):
             g = _typed(g, dict, f"generator {k} of {where}")
+            _known_keys(g, ("conjugator", "frob"), f"generator {k} of {where}")
             conj = g.get("conjugator", "one")
             if isinstance(conj, str):
                 if conj not in named:
@@ -279,8 +289,10 @@ def _search_config(spec, args) -> SearchConfig:
         constraints=tuple(constraints),
         candidate_limit=spec.get("candidate_limit"),
         node_budget=spec.get("node_budget"),
-        time_budget_sec=args.budget_sec if args.budget_sec else spec.get("time_budget_sec"),
-        branches=args.threads or spec.get("branches", 1),
+        time_budget_sec=(
+            args.budget_sec if args.budget_sec is not None else spec.get("time_budget_sec")
+        ),
+        branches=args.threads if args.threads is not None else spec.get("branches", 1),
         dedup=spec.get("dedup", "iso"),
         method=spec.get("method", "auto"),
     )
@@ -305,6 +317,8 @@ def cmd_search(args, out: Output) -> int:
     out.emit("solutions", len(result.systems))
     out.emit("candidates", result.stats.get("candidates", 0))
     out.emit("elapsed-ms", elapsed_ms)
+    for stage in ("enumerate", "cover", "verify"):
+        out.emit("stage-ms", f"{stage} {int(result.stats.get(f'{stage}_sec', 0) * 1000)}")
     out.emit("complete", "yes" if result.complete else "no")
     return EXIT_OK if result.complete else EXIT_BUDGET
 

@@ -10,6 +10,14 @@ emitted.  Second, condition (P) becomes an exact cover problem over the
 residue universe with the candidate quotient sets as rows, solved by an
 Algorithm-X style solver with minimum-branching column selection.
 
+Both hot loops work on Python-int bitsets.  The structured enumeration
+extends a block orbit by orbit: one OR of precomputed quotient masks per
+step and a popcount against k(k-1) decide condition (Q) for the k points
+(see ``_enumerate_structured``).  The exact cover keeps one bitset of row
+ids per column and the set of rows still alive, so a column's active
+count is a popcount of their AND, in the way dancing links keeps its
+column sizes current without scanning the rows.
+
 Symmetry constraints restrict the search:
 
 * "stabilize": every emitted quotient set must be invariant under the
@@ -78,6 +86,12 @@ class SearchConfig:
             raise ValueError(f"unknown dedup {self.dedup!r}")
         if self.method not in ("auto", "structured", "generic"):
             raise ValueError(f"unknown method {self.method!r}")
+        for key, least in (("candidate_limit", 1), ("node_budget", 1), ("branches", 1)):
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
+        if self.time_budget_sec is not None and self.time_budget_sec < 0:
+            raise ValueError(f"time_budget_sec must not be negative, got {self.time_budget_sec}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +328,36 @@ def _enumerate_generic(
     return results, complete
 
 
+def _bitsets(flags: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int whose bit e is column e."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    if width == 0:
+        return [0] * len(flags)
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+
+
+def _incidence(sets, width: int, column=None) -> np.ndarray:
+    """Boolean matrix whose row r is true at column[x] (or at x) for each x
+    in sets[r]; a KeyError from ``column`` propagates."""
+    sizes = [len(s) for s in sets]
+    items = (x for s in sets for x in s)
+    cols = np.fromiter(
+        items if column is None else (column[x] for x in items), dtype=np.int32, count=sum(sizes)
+    )
+    flags = np.zeros((len(sets), width), dtype=bool)
+    flags[np.repeat(np.arange(len(sets), dtype=np.int32), sizes), cols] = True
+    return flags
+
+
+def _flags(bits: list[int], width: int) -> np.ndarray:
+    """The inverse of ``_bitsets``: the ints as rows ``width`` columns wide."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(b.to_bytes(nbytes, "little") for b in bits)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(bits), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").astype(bool)
+
+
 def _enumerate_structured(
     group: SL2,
     subgroup: frozenset[int],
@@ -337,6 +381,22 @@ def _enumerate_structured(
     walks d0 and the orbit subsets, which is dramatically smaller than
     the element-by-element tree.
 
+    The orbit subsets are walked as a bitset search.  Per d0, each orbit
+    that is compatible with the base orbit gets one Python-int bitset of
+    the quotients it adds (its own and those across to the base), and each
+    pair of compatible orbits the bitset of its cross quotients, or None
+    when those already collide or leave the universe; one vectorised
+    gather per d0 builds all of them.  The walk carries the quotient mask
+    M of the points chosen so far and, per remaining orbit j, the mask
+    acc[j] of what j would add to them.  Orbit j is taken iff
+    (M | acc[j]) has k(k-1) bits for the k points it makes: each ordered
+    pair of the k points gives one quotient, so the count holds exactly
+    when all of them are distinct, which is condition (Q).  Taking orbit i
+    ORs the pair masks cross[i][j] into acc[j] and drops j where
+    cross[i][j] is None.  The completed blocks of one d0 are then tested
+    together for hat-canonicity (one sort of all their translates) and for
+    invariance under the stabilize group, and emitted in walk order.
+
     One case escapes this decomposition: an invariant quotient set whose
     hats are all moved by gamma (several distinct hats sharing the
     quotient set, permuted among themselves).  Such configurations exist,
@@ -347,10 +407,10 @@ def _enumerate_structured(
     does surface.
     """
     q = group.field.q
+    n = group.order
     cay = group.cayley
-    inv = group.inverse_index
     universe = residue_universe(group, subgroup)
-    in_uni = np.zeros(group.order, dtype=bool)
+    in_uni = np.zeros(n, dtype=bool)
     in_uni[list(universe)] = True
     stab = _stabilize_perms(group, constraints)
 
@@ -374,41 +434,29 @@ def _enumerate_structured(
             m = prime
             break
 
+    # Quotient tables padded with a sentinel element n: any product with
+    # it is n, which counts as inside the universe and sets no bit, so
+    # orbits of different lengths share one padded array.
+    cay_pad = np.pad(cay, ((0, 1), (0, 1)), constant_values=n)
+    inv_pad = np.append(group.inverse_index, n)
+    in_uni_pad = np.append(in_uni, True)
+
+    def quotients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Per row r, every x * y^-1 with x in xs[r], y in ys[r] and x != y."""
+        vals = cay_pad[xs[:, :, None], inv_pad[ys][:, None, :]]
+        vals[xs[:, :, None] == ys[:, None, :]] = n
+        return vals.reshape(len(xs), xs.shape[1] * ys.shape[1])
+
+    def injective(vals: np.ndarray, expected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows hold ``expected`` distinct quotients, all in the
+        universe, and each row's quotients as a boolean mask."""
+        flags = np.zeros((len(vals), n + 1), dtype=bool)
+        flags[np.arange(len(vals))[:, None], vals] = True
+        flags = flags[:, :n]
+        ok = in_uni_pad[vals].all(axis=1) & (np.count_nonzero(flags, axis=1) == expected)
+        return ok, flags
+
     results: list[Candidate] = []
-    state = {"emitted": 0}
-
-    def full_check(pts: list[int]) -> frozenset[int] | None:
-        qset: set[int] = set()
-        for x in pts:
-            row = cay[x]
-            for y in pts:
-                if x != y:
-                    v = int(row[inv[y]])
-                    if not in_uni[v] or v in qset:
-                        return None
-                    qset.add(v)
-        return frozenset(qset)
-
-    def emit(pts: list[int]):
-        block = tuple(sorted(pts))
-        if len(block) != q + 1:
-            return
-        canon = canonical_hat_representative(group, block)
-        if canon != block:
-            return
-        qset = full_check(sorted(pts))
-        if qset is None:
-            return
-        for perm in stab:
-            if frozenset(int(perm[x]) for x in qset) != qset:
-                return
-        results.append(Candidate(block, qset))
-        state["emitted"] += 1
-        if limit is not None and state["emitted"] >= limit:
-            raise BudgetExceeded
-
-    def tau(x: int, d0: int) -> int:
-        return int(cay[gam[x], d0])
 
     # d0 = 1 covers blocks fixed by gamma setwise, possible only when the
     # universe has gamma-fixed points (never at q = 8, but e.g. at q = 4).
@@ -430,52 +478,152 @@ def _enumerate_structured(
                 t = int(cay[t, v])
             if t != 0:
                 continue
+            tau = cay[gam, d0].tolist()  # tau(x) = gamma(x) * d0
             base = [0]
-            x = tau(0, d0)
+            x = tau[0]
             while x != 0:
                 base.append(x)
-                x = tau(x, d0)
+                x = tau[x]
             expected = 1 if d0 == 0 else m
             if len(base) != expected or any(not in_uni[p] for p in base[1:]):
                 continue
-            if full_check(base) is None:
+            nb = len(base)
+            base_pts = np.array([base])
+            ok, base_flags = injective(quotients(base_pts, base_pts), nb * (nb - 1))
+            if not ok[0]:
                 continue
             # tau-orbit decomposition of the rest of the universe
             visited = set(base)
-            orbits: list[tuple[int, ...]] = []
+            orbits: list[list[int]] = []
             for s in universe:
                 if s in visited:
                     continue
                 orb = [s]
-                y = tau(s, d0)
+                y = tau[s]
                 while y != s:
                     orb.append(y)
-                    y = tau(y, d0)
+                    y = tau[y]
                 visited.update(orb)
                 if all(in_uni[p] for p in orb):
-                    orbits.append(tuple(orb))
-            # keep orbits compatible with the base block
-            compat = [o for o in orbits if full_check(base + list(o)) is not None]
-            need = q + 1 - len(base)
-
-            def pick(start: int, chosen: list[int], size: int):
-                if size == need:
-                    emit(base + chosen)
-                    return
-                for i in range(start, len(compat)):
-                    o = compat[i]
-                    if size + len(o) > need:
-                        continue
-                    pts = base + chosen + list(o)
-                    if full_check(pts) is None:
-                        continue
-                    pick(i + 1, chosen + list(o), size + len(o))
-
-            pick(0, [], 0)
+                    orbits.append(orb)
+            need = q + 1 - nb
+            base_bits = _bitsets(base_flags)[0]
+            leaves: list[tuple[list[int], int]] = []
+            pts = np.empty((0, 1), dtype=np.intp)
+            if need == 0:
+                leaves.append(([], base_bits))
+            elif orbits:
+                # keep orbits compatible with the base block
+                width = max(len(o) for o in orbits)
+                pts = np.full((len(orbits), width), n)
+                for i, o in enumerate(orbits):
+                    pts[i, : len(o)] = o
+                lens = np.array([len(o) for o in orbits])
+                bases = np.broadcast_to(base_pts, (len(orbits), nb))
+                ok, flags = injective(
+                    np.concatenate(
+                        [quotients(pts, pts), quotients(pts, bases), quotients(bases, pts)],
+                        axis=1,
+                    ),
+                    lens * (lens - 1) + 2 * lens * nb,
+                )
+                ok &= ~(flags & base_flags).any(axis=1)
+                keep = np.flatnonzero(ok)
+                pts, lens = pts[keep], lens[keep]
+                adds = _bitsets(flags[keep])
+                # cross quotients of each pair of compatible orbits
+                c = len(keep)
+                ii, jj = np.triu_indices(c, 1)
+                ok, flags = injective(
+                    np.concatenate(
+                        [quotients(pts[ii], pts[jj]), quotients(pts[jj], pts[ii])], axis=1
+                    ),
+                    2 * lens[ii] * lens[jj],
+                )
+                cross: list[list[int | None]] = [[None] * c for _ in range(c)]
+                for i, j, bits in zip(ii[ok].tolist(), jj[ok].tolist(), _bitsets(flags[ok])):
+                    cross[i][j] = bits
+                leaves = _orbit_subsets(base_bits, adds, cross, lens.tolist(), nb, need)
+            if not leaves:
+                continue
+            # each leaf's block: the base and its orbits' points, sorted, with
+            # the padding (index -1 picks an all-padding row) sorted last
+            depth = max(len(chosen) for chosen, _ in leaves)
+            picked = np.array(
+                [chosen + [-1] * (depth - len(chosen)) for chosen, _ in leaves], dtype=np.intp
+            ).reshape(len(leaves), depth)
+            padded = np.vstack([pts, np.full(pts.shape[1], n)])[picked].reshape(len(leaves), -1)
+            blocks = np.sort(
+                np.concatenate([np.broadcast_to(base_pts, (len(leaves), nb)), padded], axis=1),
+                axis=1,
+            )[:, : q + 1]
+            canon = np.flatnonzero(_hat_canonical(group, blocks))
+            qflags = _flags([leaves[i][1] for i in canon], n)
+            invariant = np.ones(len(canon), dtype=bool)
+            for perm in stab:
+                invariant &= (qflags[:, perm] == qflags).all(axis=1)
+            for r in np.flatnonzero(invariant):
+                results.append(
+                    Candidate(
+                        tuple(blocks[canon[r]].tolist()),
+                        frozenset(np.flatnonzero(qflags[r]).tolist()),
+                    )
+                )
+                if limit is not None and len(results) >= limit:
+                    raise BudgetExceeded
     except BudgetExceeded:
         complete = False
     results.sort(key=lambda c: c.block)
     return results, complete
+
+
+def _orbit_subsets(
+    mask: int, adds: list[int], cross: list[list[int | None]], lens: list[int], nb: int, need: int
+) -> list[tuple[list[int], int]]:
+    """Every set of orbits (ascending indices, in DFS order) whose ``need``
+    points keep condition (Q) with the ``nb`` points of quotient mask
+    ``mask``, each with the quotient mask of the completed block.
+
+    ``adds[i]`` is what orbit i adds to the base alone and ``cross[i][j]``
+    (i < j) the cross quotients of orbits i and j, None if they collide.
+    """
+    leaves: list[tuple[list[int], int]] = []
+    c = len(adds)
+
+    def pick(start: int, mask: int, acc: list[int | None], size: int, chosen: list[int]):
+        for i in range(start, c):
+            add = acc[i]
+            grown_size = size + lens[i]
+            if add is None or grown_size > need:
+                continue
+            k = nb + grown_size
+            grown = mask | add
+            if grown.bit_count() != k * (k - 1):
+                continue
+            if grown_size == need:
+                leaves.append((chosen + [i], grown))
+                continue
+            row = cross[i]
+            nxt: list[int | None] = [None] * c
+            for j in range(i + 1, c):
+                if acc[j] is not None and row[j] is not None:
+                    nxt[j] = acc[j] | row[j]
+            pick(i + 1, grown, nxt, grown_size, chosen + [i])
+
+    pick(0, mask, list(adds), 0, [])
+    return leaves
+
+
+def _hat_canonical(group: SL2, blocks: np.ndarray) -> np.ndarray:
+    """Per sorted block through the identity (one per row), whether it is
+    its hat's least translate: no B * d^-1 with d in B sorts before it."""
+    cay, inv = group.cayley, group.inverse_index
+    translates = np.sort(cay[blocks[:, None, :], inv[blocks][:, :, None]], axis=2)
+    differ = translates != blocks[:, None, :]
+    first = differ.argmax(axis=2)
+    at = np.take_along_axis(translates, first[..., None], axis=2)[..., 0]
+    own = np.take_along_axis(blocks, first, axis=1)
+    return ~(differ.any(axis=2) & (at < own)).any(axis=1)
 
 
 def is_valid_candidate(
@@ -588,33 +736,33 @@ def exact_cover(
     result is flagged incomplete and carries the decision stack as a
     resume token; passing that token back skips the already-explored
     prefix of the tree.
+
+    Rows and columns are bitsets: each column holds the ids of its rows,
+    and the search carries the set of rows still disjoint from the cover,
+    so a column's active count is one AND and one popcount.  Choosing a
+    row removes its conflicts (the rows that meet it), which are built
+    the first time the row is chosen and cached.
     """
-    universe = list(instance.universe)
-    pos = {u: i for i, u in enumerate(universe)}
-    nu = len(universe)
+    nu = len(instance.universe)
     full = (1 << nu) - 1
-    rows = []
-    for r in instance.rows:
-        if not set(r) <= set(universe):
-            raise ValueError("row contains elements outside the universe")
-        m = 0
-        for x in r:
-            m |= 1 << pos[x]
-        rows.append(m)
+    try:
+        incidence = _incidence(
+            instance.rows, nu, {u: i for i, u in enumerate(instance.universe)}
+        )
+    except KeyError:
+        raise ValueError("row contains elements outside the universe") from None
+    rows = _bitsets(incidence)
     if len(set(rows)) != len(rows):
         raise ValueError("cover rows are not pairwise distinct")
-    elem_rows: list[list[int]] = [[] for _ in range(nu)]
-    for rid, m in enumerate(rows):
-        for i in range(nu):
-            if m >> i & 1:
-                elem_rows[i].append(rid)
+    col_rows = _bitsets(incidence.T)
+    conflicts: dict[int, int] = {}
 
     solutions: list[tuple[int, ...]] = []
     stack: list[int] = []
     state = {"nodes": 0}
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
-    def dfs(covered: int, boundary: bool):
+    def dfs(covered: int, alive: int, boundary: bool):
         state["nodes"] += 1
         if max_nodes is not None and state["nodes"] > max_nodes:
             raise BudgetExceeded
@@ -626,31 +774,42 @@ def exact_cover(
             return
         if len(stack) >= instance.arity:
             return
-        best_i, best_active = -1, None
-        for i in range(nu):
-            if covered >> i & 1:
-                continue
-            active = [r for r in elem_rows[i] if rows[r] & covered == 0]
-            if best_active is None or len(active) < len(best_active):
-                best_i, best_active = i, active
-                if not active:
+        best_active, best_count = 0, -1
+        free = full & ~covered
+        while free:
+            low = free & -free
+            free ^= low
+            active = col_rows[low.bit_length() - 1] & alive
+            count = active.bit_count()
+            if best_count < 0 or count < best_count:
+                best_active, best_count = active, count
+                if not count:
                     break
         depth = len(stack)
-        for r in best_active:
+        while best_active:
+            low = best_active & -best_active
+            best_active ^= low
+            r = low.bit_length() - 1
             if boundary and resume is not None and depth < len(resume):
                 if r < resume[depth]:
                     continue
                 child_boundary = r == resume[depth]
             else:
                 child_boundary = False
+            meets = conflicts.get(r)
+            if meets is None:
+                meets = 0
+                for c in np.flatnonzero(incidence[r]).tolist():
+                    meets |= col_rows[c]
+                conflicts[r] = meets
             stack.append(r)
-            dfs(covered | rows[r], child_boundary)
+            dfs(covered | rows[r], alive & ~meets, child_boundary)
             stack.pop()
 
     complete = True
     token = None
     try:
-        dfs(0, resume is not None)
+        dfs(0, (1 << len(rows)) - 1, resume is not None)
     except BudgetExceeded:
         complete = False
         token = tuple(stack)
@@ -745,7 +904,9 @@ def search(cfg: SearchConfig) -> SearchResult:
                 f"orbit shape {sorted(oc.orbit_shape)} does not sum to q-2 = {q - 2}"
             )
 
+    t_enumerate = time.monotonic()
     candidates, cand_complete = _enumerate_all(cfg, group, subgroup)
+    t_cover = time.monotonic()
     stab_present = any(c.mode == "stabilize" for c in cfg.constraints)
     stats = {
         "candidates": len(candidates),
@@ -780,13 +941,18 @@ def search(cfg: SearchConfig) -> SearchResult:
         oc = orbit_constraints[0]
         perms = _stabilize_perms(group, (replace(oc, mode="stabilize"),))
         shape = sorted(oc.orbit_shape)
-        qset_ids = {s: i for i, s in enumerate(qsets)}
+        # the image of each quotient set under each perm, as an id or None
+        flags = _incidence(qsets, group.order)
+        qset_ids = {bits: i for i, bits in enumerate(_bitsets(flags))}
+        images = [
+            [qset_ids.get(bits) for bits in _bitsets(flags[:, np.argsort(perm)])]
+            for perm in perms
+        ]
         orbits: dict[frozenset[int], list[int]] = {}
-        for i, s in enumerate(qsets):
+        for i in range(len(qsets)):
             orbit = {i}
-            for perm in perms:
-                img = frozenset(int(perm[x]) for x in s)
-                j = qset_ids.get(img)
+            for image in images:
+                j = image[i]
                 if j is None:
                     orbit = None
                     break
@@ -823,6 +989,7 @@ def search(cfg: SearchConfig) -> SearchResult:
                 families.append(tuple(qsets[m] for m in sorted(members)))
 
     # Materialise (over all hats sharing a quotient set), verify, dedup.
+    t_verify = time.monotonic()
     witness_cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
     def witnesses_of(s: frozenset[int]) -> list[tuple[int, ...]]:
@@ -853,6 +1020,10 @@ def search(cfg: SearchConfig) -> SearchResult:
             systems.append(system)
             unitals.append(unital)
 
+    t_end = time.monotonic()
     stats["solutions"] = len(families)
-    stats["elapsed_sec"] = time.monotonic() - t0
+    stats["enumerate_sec"] = t_cover - t_enumerate
+    stats["cover_sec"] = t_verify - t_cover
+    stats["verify_sec"] = t_end - t_verify
+    stats["elapsed_sec"] = t_end - t0
     return SearchResult(systems, cand_complete and cover_complete, stats)

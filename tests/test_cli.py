@@ -248,19 +248,38 @@ class TestSearch:
 
     def test_malformed_config_is_input_error(self, capsys, tmp_path):
         q4 = {"q": 4, "torus": [1, 2]}
+        frob = {"generators": [{"conjugator": "one", "frob": 1}], "mode": "stabilize"}
         p = tmp_path / "config.json"
-        for spec, key in [
+        for spec, key, *flags in [
             ({"q": "8"}, "'q'"),
             (dict(q4, candidate_limit="5"), "'candidate_limit'"),
             ([1, 2], "top level"),
             (dict(q4, constraints=[{"generators": []}]), "'mode'"),
             (dict(q4, dedup="nope"), "dedup"),
             (dict(q4, method="nope"), "method"),
+            (dict(q4, candiate_limit=5), "'candiate_limit'"),
+            (dict(q4, constraints=[dict(frob, orbit=[3])]), "'orbit'"),
+            (dict(q4, constraints=[dict(frob, generators=[{"frobenius": 1}])]), "'frobenius'"),
+            (dict(q4, candidate_limit=-3), "candidate_limit"),
+            (dict(q4, node_budget=-1), "node_budget"),
+            (dict(q4, branches=0), "branches"),
+            (dict(q4, time_budget_sec=-1), "time_budget_sec"),
+            (q4, "time_budget_sec", "--budget-sec", "-1"),
+            (q4, "branches", "--threads", "0"),
         ]:
             p.write_text(json.dumps(spec))
-            code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
-            assert code == 2, spec
+            code, _, captured = run(capsys, *flags, "search", str(p), "--out", str(tmp_path))
+            assert code == 2, (spec, flags)
             assert key in captured.err and "Traceback" not in captured.out + captured.err
+
+    def test_stage_timings_are_machine_lines(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+        code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
+        assert code == 0
+        stages = [l.split()[1:] for l in captured.out.splitlines() if l.startswith("@stage-ms ")]
+        assert [name for name, _ in stages] == ["enumerate", "cover", "verify"]
+        assert all(ms.isdigit() for _, ms in stages)
 
     def test_field_flags_must_match_the_config(self, capsys, tmp_path):
         p = tmp_path / "config.json"

@@ -1,13 +1,19 @@
 """Candidate enumeration, exact cover, and the full search pipeline."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2unitals import catalog
 from sl2unitals.design import build_affine_unital, check_P, quotient_set
 from sl2unitals.hatsearch import (
+    BudgetExceeded,
     CoverInstance,
+    CoverResult,
     SearchConfig,
     SymmetryConstraint,
+    _stabilize_perms,
     canonical_hat_representative,
     enumerate_candidates,
     exact_cover,
@@ -18,6 +24,160 @@ from sl2unitals.hatsearch import (
 )
 from sl2unitals.morphisms import are_isomorphic_affine
 from sl2unitals.sl2q import AutMap, sl2_context
+
+
+# ----------------------------------------------------------------------
+# Test-only references: the list-scan cover and the full_check walk that
+# the bitset versions replaced.
+# ----------------------------------------------------------------------
+def _reference_cover(instance, max_nodes=None, resume=None):
+    """Algorithm X with a list scan of every column's active rows per node."""
+    universe = list(instance.universe)
+    pos = {u: i for i, u in enumerate(universe)}
+    nu = len(universe)
+    full = (1 << nu) - 1
+    rows = [sum(1 << pos[x] for x in r) for r in instance.rows]
+    elem_rows = [[rid for rid, m in enumerate(rows) if m >> i & 1] for i in range(nu)]
+    solutions, stack, state = [], [], {"nodes": 0}
+
+    def dfs(covered, boundary):
+        state["nodes"] += 1
+        if max_nodes is not None and state["nodes"] > max_nodes:
+            raise BudgetExceeded
+        if covered == full:
+            if len(stack) == instance.arity:
+                solutions.append(tuple(stack))
+            return
+        if len(stack) >= instance.arity:
+            return
+        best_active = None
+        for i in range(nu):
+            if covered >> i & 1:
+                continue
+            active = [r for r in elem_rows[i] if rows[r] & covered == 0]
+            if best_active is None or len(active) < len(best_active):
+                best_active = active
+                if not active:
+                    break
+        depth = len(stack)
+        for r in best_active:
+            if boundary and resume is not None and depth < len(resume):
+                if r < resume[depth]:
+                    continue
+                child_boundary = r == resume[depth]
+            else:
+                child_boundary = False
+            stack.append(r)
+            dfs(covered | rows[r], child_boundary)
+            stack.pop()
+
+    try:
+        dfs(0, resume is not None)
+    except BudgetExceeded:
+        return CoverResult(solutions, False, state["nodes"], tuple(stack))
+    return CoverResult(solutions, True, state["nodes"], None)
+
+
+def _reference_structured(group, subgroup, constraints, first_element=None, translators=None):
+    """(block, quotients) of the structured enumeration in emission order,
+    found by a full (Q) check of the whole point list at every step.
+
+    ``translators``, when given a dict, receives per tried d0 the number of
+    tau-orbits compatible with the base, or "torsion" or "base" for the
+    check that rejects d0.
+    """
+    q = group.field.q
+    cay, inv = group.cayley, group.inverse_index
+    universe = residue_universe(group, subgroup)
+    in_uni = np.zeros(group.order, dtype=bool)
+    in_uni[list(universe)] = True
+    stab = _stabilize_perms(group, constraints)
+    ident = np.arange(group.order)
+
+    def perm_order(p):
+        k, cur = 1, p
+        while not np.array_equal(cur, ident):
+            cur, k = p[cur], k + 1
+        return k
+
+    best = max(stab, key=perm_order)
+    m = perm_order(best)
+    for prime in (2, 3, 5, 7):
+        if m % prime == 0:
+            gam = best
+            for _ in range(m // prime - 1):
+                gam = best[gam]
+            m = prime
+            break
+
+    def full_check(pts):
+        qset = set()
+        for x in pts:
+            for y in pts:
+                if x != y:
+                    v = int(cay[x, inv[y]])
+                    if not in_uni[v] or v in qset:
+                        return None
+                    qset.add(v)
+        return frozenset(qset)
+
+    def tau(x, d0):
+        return int(cay[gam[x], d0])
+
+    results = []
+    translators = {} if translators is None else translators
+    for d0 in (0,) + tuple(universe) if first_element is None else (first_element,):
+        if d0 != 0 and not in_uni[d0]:
+            continue
+        translators[d0] = "torsion"
+        chain = [d0]
+        for _ in range(m - 1):
+            chain.append(int(gam[chain[-1]]))
+        t = chain[-1]
+        for v in reversed(chain[:-1]):
+            t = int(cay[t, v])
+        if t != 0:
+            continue
+        translators[d0] = "base"
+        base, x = [0], tau(0, d0)
+        while x != 0:
+            base.append(x)
+            x = tau(x, d0)
+        if len(base) != (1 if d0 == 0 else m) or any(not in_uni[p] for p in base[1:]):
+            continue
+        if full_check(base) is None:
+            continue
+        visited, orbits = set(base), []
+        for s in universe:
+            if s in visited:
+                continue
+            orb, y = [s], tau(s, d0)
+            while y != s:
+                orb.append(y)
+                y = tau(y, d0)
+            visited.update(orb)
+            if all(in_uni[p] for p in orb):
+                orbits.append(orb)
+        compat = [o for o in orbits if full_check(base + o) is not None]
+        translators[d0] = len(compat)
+        need = q + 1 - len(base)
+
+        def pick(start, chosen, size):
+            if size == need:
+                block = tuple(sorted(base + chosen))
+                qset = full_check(list(block))
+                if canonical_hat_representative(group, block) != block or qset is None:
+                    return
+                if all(frozenset(int(p[x]) for x in qset) == qset for p in stab):
+                    results.append((block, qset))
+                return
+            for i in range(start, len(compat)):
+                o = compat[i]
+                if size + len(o) <= need and full_check(base + chosen + o) is not None:
+                    pick(i + 1, chosen + o, size + len(o))
+
+        pick(0, [], 0)
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +306,69 @@ class TestEnumeration:
                 assert canonical_hat_representative(sl2, base) in reps
 
 
+def _irreducible_tori(group):
+    f = group.field
+    return [
+        (d, t)
+        for d in f.elements()
+        for t in f.nonzero_elements()
+        if f.discriminant_check(d, t)
+    ]
+
+
+class TestStructuredAgainstReference:
+    """The bitset walk against the full_check walk it replaced."""
+
+    @staticmethod
+    def pairs(cands):
+        return [(c.block, c.quotients) for c in cands]
+
+    @pytest.mark.parametrize("kind", ["order3", "frobenius"])
+    def test_q4_every_torus(self, kind):
+        group = sl2_context(4)
+        if kind == "order3":
+            x3 = next(
+                group.elements[i] for i in range(group.order) if group.order_of_idx(i) == 3
+            )
+            con = (SymmetryConstraint((AutMap(x3, 0),), "stabilize"),)
+        else:
+            con = (SymmetryConstraint((AutMap(group.one, 1),), "stabilize"),)
+        tori = _irreducible_tori(group)
+        assert len(tori) == 6
+        no_orbit = []
+        for torus in tori:
+            subgroup = group.cyclic_subgroup(*torus)
+            translators = {}
+            ref = _reference_structured(group, subgroup, con, translators=translators)
+            got, complete = enumerate_candidates(group, subgroup, con, method="structured")
+            assert complete and self.pairs(got) == sorted(ref), torus
+            for limit in (1, 2):
+                got, complete = enumerate_candidates(
+                    group, subgroup, con, limit=limit, method="structured"
+                )
+                assert not complete and self.pairs(got) == sorted(ref[:limit])
+            for d0, compatible in translators.items():
+                if compatible == 0:
+                    no_orbit.append(d0)
+                    got, complete = enumerate_candidates(
+                        group, subgroup, con, first_element=d0, method="structured"
+                    )
+                    assert complete and got == []
+        if kind == "order3":
+            assert no_orbit  # translators whose base admits no further orbit
+
+    def test_q8_translators(self, sl2, torus_c, named):
+        con = (SymmetryConstraint((named.U[1],), "stabilize"),)
+        seen = {}
+        for d0 in (0, 74, 3):
+            translators = {}
+            ref = _reference_structured(sl2, torus_c, con, d0, translators)
+            got, complete = enumerate_candidates(sl2, torus_c, con, first_element=d0)
+            assert complete and self.pairs(got) == sorted(ref), d0
+            seen[d0] = translators[d0], len(ref)
+        assert seen == {0: (144, 0), 74: (98, 153), 3: ("torsion", 0)}
+
+
 class TestExactCover:
     def test_toy_instance_unique_solution(self):
         universe = tuple(range(7))
@@ -204,6 +427,60 @@ class TestExactCover:
         resumed = exact_cover(instance, resume=partial.resume_token)
         combined = partial.solutions + resumed.solutions
         assert combined == full.solutions
+
+
+class TestCoverAgainstReference:
+    """The bitset cover against the list-scan cover it replaced."""
+
+    @staticmethod
+    def outcome(res):
+        return res.solutions, res.complete, res.nodes, res.resume_token
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_instances(self, data):
+        universe = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=14, unique=True))
+        rows = data.draw(
+            st.lists(
+                st.frozensets(st.sampled_from(universe), min_size=1),
+                max_size=40,
+                unique=True,
+            )
+        )
+        instance = CoverInstance(
+            tuple(universe), tuple(rows), arity=data.draw(st.integers(1, len(universe)))
+        )
+        assert self.outcome(exact_cover(instance)) == self.outcome(_reference_cover(instance))
+        budget = data.draw(st.integers(1, 60))
+        partial = exact_cover(instance, max_nodes=budget)
+        assert self.outcome(partial) == self.outcome(_reference_cover(instance, budget))
+        if not partial.complete:
+            token = partial.resume_token
+            assert self.outcome(exact_cover(instance, resume=token)) == self.outcome(
+                _reference_cover(instance, resume=token)
+            )
+            again = exact_cover(instance, max_nodes=budget, resume=token)
+            assert self.outcome(again) == self.outcome(_reference_cover(instance, budget, token))
+
+    def test_row_outside_universe_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            exact_cover(CoverInstance((0, 1), (frozenset({0, 2}),), arity=1))
+        with pytest.raises(ValueError, match="outside"):
+            exact_cover(CoverInstance((), (frozenset({0}),), arity=1))
+
+    def test_stabilize_instance_budget_and_resume(self, sl2, torus_c, named):
+        # nodes and tokens recorded from the list-scan solver on this instance
+        cands, _ = enumerate_candidates(
+            sl2, torus_c, (SymmetryConstraint((named.U[1],), "stabilize"),)
+        )
+        qsets = sorted({c.quotients for c in cands}, key=sorted)
+        instance = CoverInstance(residue_universe(sl2, torus_c), tuple(qsets), arity=6)
+        first = exact_cover(instance, max_nodes=1000)
+        assert self.outcome(first) == ([], False, 1001, (166, 6743))
+        resumed = exact_cover(instance, max_nodes=1000, resume=first.resume_token)
+        assert self.outcome(resumed) == ([], False, 1001, (221, 2500))
+        short = exact_cover(instance, max_nodes=20)
+        assert self.outcome(short) == self.outcome(_reference_cover(instance, 20))
 
 
 class TestSearch:
@@ -265,6 +542,26 @@ class TestSearch:
         )
         with pytest.raises(ValueError, match="at most one"):
             search(cfg)
+
+    def test_stage_timings(self):
+        stats = search(SearchConfig(q=4)).stats
+        stages = [stats[f"{k}_sec"] for k in ("enumerate", "cover", "verify")]
+        assert all(t >= 0 for t in stages)
+        assert sum(stages) <= stats["elapsed_sec"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("candidate_limit", 0),
+            ("candidate_limit", -3),
+            ("node_budget", -1),
+            ("branches", 0),
+            ("time_budget_sec", -1.0),
+        ],
+    )
+    def test_limits_validated(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SearchConfig(q=4, **{key: value})
 
     def test_constraint_mode_validated(self, named):
         with pytest.raises(ValueError, match="unknown constraint mode"):
