@@ -319,6 +319,8 @@ def cmd_search(args, out: Output) -> int:
     out.emit("elapsed-ms", elapsed_ms)
     for stage in ("enumerate", "cover", "verify"):
         out.emit("stage-ms", f"{stage} {int(result.stats.get(f'{stage}_sec', 0) * 1000)}")
+    for counter in ("enumerate_nodes", "cover_nodes"):
+        out.emit(counter.replace("_", "-"), result.stats.get(counter, 0))
     out.emit("complete", "yes" if result.complete else "no")
     return EXIT_OK if result.complete else EXIT_BUDGET
 

@@ -10,20 +10,34 @@ emitted.  Second, condition (P) becomes an exact cover problem over the
 residue universe with the candidate quotient sets as rows, solved by an
 Algorithm-X style solver with minimum-branching column selection.
 
-Both hot loops work on Python-int bitsets.  The structured enumeration
-extends a block orbit by orbit: one OR of precomputed quotient masks per
-step and a popcount against k(k-1) decide condition (Q) for the k points
-(see ``_enumerate_structured``).  The exact cover keeps one bitset of row
-ids per column and the set of rows still alive, so a column's active
-count is a popcount of their AND, in the way dancing links keeps its
-column sizes current without scanning the rows.
+Canonicity rule: under (Q) the non-identity points of the q+1 translates
+D*d^-1 (d in D) are the quotients of D, each in exactly one translate,
+and the translate with d = 1 is D itself.  So the least translate is the
+one that holds min(D*): D is canonical iff min(D*) lies in D.
+
+Both hot loops work on Python-int bitsets.  One walk, ``_orbit_subsets``,
+serves all three block searches: it extends a base block orbit by orbit,
+and one OR of precomputed quotient masks per step plus a popcount
+decide condition (Q) for the points so far.  The structured enumeration
+walks the tau-orbits of a constraint generator (``_enumerate_structured``);
+the generic enumeration and ``hats_with_quotients`` walk single elements
+as orbits of length 1, seeded with {1, d1} for the least non-identity
+point d1, where the canonicity rule becomes "no quotient below d1" and
+every leaf is canonical.  On q = 4 the complete generic enumeration of
+one torus (202 candidates) takes 4-5 ms, a whole search 27-28 ms (median
+over the six tori on a 2-vCPU machine, Python 3.11).
+
+The exact cover keeps one bitset of row ids per column and the set of
+rows still alive, so a column's active count is a popcount of their AND,
+in the way dancing links keeps its column sizes current without
+scanning the rows.
 
 Symmetry constraints restrict the search:
 
 * "stabilize": every emitted quotient set must be invariant under the
-  given automorphisms.  During the enumeration the orbit closure of the
-  partial quotient set may never exceed q(q+1) elements, which prunes
-  hard from the middle depths on.
+  given automorphisms.  During the generic enumeration the orbit closure
+  of the partial quotient set may never exceed q(q+1) elements, which
+  prunes hard from the middle depths on.
 * "orbits": the (single) generated group must permute the solution's
   quotient-set family with the given orbit size multiset.  The cover then
   runs over orbit sums instead of single candidates.
@@ -160,6 +174,22 @@ def _stabilize_perms(group: SL2, constraints) -> list[np.ndarray]:
     return [p for p in elems.values() if not np.array_equal(p, ident)]
 
 
+def _resolve_method(group: SL2, constraints, method: str) -> str:
+    """The enumerator ``method`` runs: "auto" is "structured" exactly when
+    the stabilize generators span more than the identity."""
+    if method == "generic":
+        return method
+    if _stabilize_perms(group, constraints):
+        return "structured"
+    if method == "structured":
+        gens = [g for c in constraints if c.mode == "stabilize" for g in c.generators]
+        raise ValueError(
+            "structured enumeration needs a stabilize constraint that moves some element"
+            + (f"; the stabilize generators {gens} span only the identity" if gens else "")
+        )
+    return "generic"
+
+
 def enumerate_candidates(
     group: SL2,
     subgroup: frozenset[int],
@@ -168,42 +198,89 @@ def enumerate_candidates(
     first_element: int | None = None,
     method: str = "auto",
     time_budget_sec: float | None = None,
+    stats: dict | None = None,
 ) -> tuple[list[Candidate], bool]:
     """All canonical (Q)-candidates, or a flagged partial list under a limit.
 
-    Two interchangeable enumerators exist.  The generic one extends blocks
-    element by element with quotient pruning; it is fully general but slow
-    on large constrained instances.  When stabilize-mode constraints are
-    present, the structured one walks the orbit decomposition induced by a
-    constraint generator instead (see ``_enumerate_structured``) and is
-    orders of magnitude faster.  ``method`` picks "generic", "structured"
-    or "auto" (structured whenever a stabilize constraint allows it).
+    Two enumerators share one bitset walk (``_orbit_subsets``).  The
+    generic one extends blocks element by element and is complete.  The
+    structured one walks the orbit decomposition induced by a stabilize
+    constraint generator (see ``_enumerate_structured``) and is orders of
+    magnitude faster on large constrained instances.  ``method`` picks
+    "generic", "structured" or "auto" (structured whenever a stabilize
+    constraint moves some element).
 
     ``first_element`` restricts the first chosen non-identity element
     (generic) or the hat translator (structured), which is how the search
-    splits the tree into independent branch tasks.
+    splits the tree into independent branch tasks.  ``stats``, when given,
+    gains the walk's node count under "enumerate_nodes".
     """
-    stab_gens = [g for c in constraints if c.mode == "stabilize" for g in c.generators]
-    if method == "auto":
-        method = "structured" if stab_gens else "generic"
-    if method == "structured":
-        if not stab_gens:
-            raise ValueError("structured enumeration needs a stabilize constraint")
-        return _enumerate_structured(
-            group,
-            subgroup,
-            constraints,
-            limit=limit,
-            first_element=first_element,
-            time_budget_sec=time_budget_sec,
-        )
-    return _enumerate_generic(
-        group,
-        subgroup,
-        constraints,
-        limit=limit,
-        first_element=first_element,
-        time_budget_sec=time_budget_sec,
+    structured = _resolve_method(group, constraints, method) == "structured"
+    return (_enumerate_structured if structured else _enumerate_generic)(
+        group, subgroup, constraints, limit, first_element, time_budget_sec, stats
+    )
+
+
+def _mask(elems) -> int:
+    """The Python-int bitset with bit e set for each e."""
+    bits = 0
+    for e in elems:
+        bits |= 1 << e
+    return bits
+
+
+def _members(bits: int) -> list[int]:
+    """The set bits of a Python int, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _orbit_masks(n: int, perms: list[np.ndarray]) -> list[int]:
+    """Per element, the bitset of its orbit under the group of ``perms``
+    (which lists every non-identity element of that group)."""
+    flags = np.eye(n, dtype=bool)
+    for perm in perms:
+        flags[np.arange(n), perm] = True
+    return _bitsets(flags)
+
+
+def _pair_masks(group: SL2, elems: list[int], table: list[int]) -> list[list[int]]:
+    """Row i holds, at each j > i, ``table[x] | table[y]`` for the two
+    quotients x = elems[i] * elems[j]^-1 and y = elems[j] * elems[i]^-1."""
+    e = np.asarray(elems, dtype=np.intp)
+    quot = group.cayley[e[:, None], group.inverse_index[e][None, :]]
+    rows = []
+    for i, (xs, ys) in enumerate(zip(quot.tolist(), quot.T.tolist())):
+        rows.append([0] * (i + 1) + [table[x] | table[y] for x, y in zip(xs[i + 1 :], ys[i + 1 :])])
+    return rows
+
+
+def _point_walk(group, elems, first, masks, forbidden, need, emit, closure=None, **bounds):
+    """``_orbit_subsets`` for blocks through 1 and x0 = elems[first] whose
+    other ``need`` points come from elems after it, each point an orbit of
+    length 1.  ``masks`` is (table, rows): each element's bit and the
+    ``_pair_masks`` rows built from it; ``closure``, when given, the same
+    with each element's orbit mask in place of its bit."""
+    inv = group.inverse_index.tolist()
+    x0 = elems[first]
+
+    def seeded(table, rows):
+        adds = [
+            table[e] | table[inv[e]] | rows[first][j] if j > first else None
+            for j, e in enumerate(elems)
+        ]
+        return table[x0] | table[inv[x0]], adds, rows
+
+    if closure is not None:
+        closure = seeded(*closure)
+    quotients, adds, cross = seeded(*masks)
+    _orbit_subsets(
+        1 | 1 << x0, quotients, forbidden, adds, cross, [1 << e for e in elems], need, emit,
+        closure=closure, **bounds,
     )
 
 
@@ -214,117 +291,46 @@ def _enumerate_generic(
     limit: int | None = None,
     first_element: int | None = None,
     time_budget_sec: float | None = None,
+    stats: dict | None = None,
 ) -> tuple[list[Candidate], bool]:
-    deadline = time.monotonic() + time_budget_sec if time_budget_sec is not None else None
-    q = group.field.q
-    target = q * (q + 1)
-    universe = np.array(residue_universe(group, subgroup), dtype=np.int32)
-    in_universe = np.zeros(group.order, dtype=bool)
-    in_universe[universe] = True
-    cay = group.cayley
-    inv = group.inverse_index
-    stab = _stabilize_perms(group, constraints)
+    """Element-by-element enumeration: per least non-identity point d1, one
+    walk seeded with {1, d1} over the universe elements above it.
 
-    q_mask = np.zeros(group.order, dtype=bool)
-    closure_mask = np.zeros(group.order, dtype=bool)
-    state = {"closure_count": 0, "emitted": 0}
+    Canonicity is a bound on that walk: D is its hat's least translate iff
+    min(D*) lies in D (module docstring), and the quotients below d1 that
+    lie in D are none, so every quotient below d1 is forbidden like one
+    outside the universe.  Under stabilize constraints the orbit closure
+    of the quotients may never exceed q(q+1) elements, which also makes
+    every leaf invariant.  So every leaf is a candidate, in lexicographic
+    order.
+    """
+    deadline = time.monotonic() + time_budget_sec if time_budget_sec is not None else None
+    q, n = group.field.q, group.order
+    universe = list(residue_universe(group, subgroup))
+    outside = ((1 << n) - 1) & ~_mask(universe)
+    bits = [1 << v for v in range(n)]
+    masks = (bits, _pair_masks(group, universe, bits))
+    stab = _stabilize_perms(group, constraints)
+    closure = None
+    if stab:
+        orbit = _orbit_masks(n, stab)
+        closure = (orbit, _pair_masks(group, universe, orbit))
     results: list[Candidate] = []
 
-    def refine(viable: np.ndarray, d_arr: np.ndarray) -> np.ndarray:
-        if len(viable) == 0:
-            return viable
-        dinv = inv[d_arr]
-        left = cay[np.ix_(viable, dinv)]        # v * x^-1
-        right = cay[np.ix_(d_arr, inv[viable])].T  # x * v^-1
-        prods = np.concatenate([left, right], axis=1)
-        ok = in_universe[prods].all(axis=1) & (~q_mask[prods]).all(axis=1)
-        s = np.sort(prods, axis=1)
-        ok &= ~(s[:, 1:] == s[:, :-1]).any(axis=1)
-        return viable[ok]
-
-    def quotients_with(e: int, d_list: list[int]) -> list[int]:
-        ie = inv[e]
-        out = []
-        for x in d_list:
-            out.append(int(cay[e, inv[x]]))
-            out.append(int(cay[x, ie]))
-        return out
-
-    def emit(d_list: list[int], quotient_elems: frozenset[int]):
-        block = tuple(d_list)
-        # canonical-minimum over the hat translates
-        for d in d_list[1:]:
-            tid = inv[d]
-            tr = tuple(sorted(int(cay[x, tid]) for x in d_list))
-            if tr < block:
-                return
-        results.append(Candidate(block, quotient_elems))
-        state["emitted"] += 1
-        if limit is not None and state["emitted"] >= limit:
+    def emit(points: int, quotients: int) -> None:
+        results.append(Candidate(tuple(_members(points)), frozenset(_members(quotients))))
+        if limit is not None and len(results) >= limit:
             raise BudgetExceeded
 
-    def descend(d_list: list[int], viable: np.ndarray, mins: list[int]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
-        for e in viable:
-            e = int(e)
-            if first_element is not None and len(d_list) == 1 and e != first_element:
-                continue
-            nq = quotients_with(e, d_list)
-            # viable is refreshed per node, so nq is collision-free already
-            trail = []
-            for v in nq:
-                if not q_mask[v]:
-                    q_mask[v] = True
-                    trail.append(v)
-            closure_trail = []
-            prune = False
-            if stab:
-                for v in nq:
-                    if not closure_mask[v]:
-                        closure_mask[v] = True
-                        closure_trail.append(v)
-                        state["closure_count"] += 1
-                    for perm in stab:
-                        w = int(perm[v])
-                        if not closure_mask[w]:
-                            closure_mask[w] = True
-                            closure_trail.append(w)
-                            state["closure_count"] += 1
-                prune = state["closure_count"] > target
-            # hat-canonicity: a translate whose least element undercuts
-            # the second element of D can only complete to a smaller rep
-            new_mins = None
-            if not prune:
-                ie = int(inv[e])
-                new_mins = [min(m, int(cay[e, inv[d]])) for m, d in zip(mins, d_list[1:])]
-                t_min = min(int(cay[x, ie]) for x in d_list)
-                new_mins.append(t_min)
-                first = d_list[1] if len(d_list) > 1 else e
-                prune = any(m < first for m in new_mins)
-            if not prune:
-                d_list.append(e)
-                if len(d_list) == q + 1:
-                    elems = frozenset(int(i) for i in np.nonzero(q_mask)[0])
-                    emit(d_list, elems)
-                else:
-                    nxt = refine(viable[viable > e], np.array(d_list, dtype=np.int32))
-                    if len(nxt) >= (q + 1) - len(d_list):
-                        descend(d_list, nxt, new_mins)
-                d_list.pop()
-            for v in trail:
-                q_mask[v] = False
-            for v in closure_trail:
-                closure_mask[v] = False
-            state["closure_count"] -= len(closure_trail)
-
-    viable0 = refine(universe.copy(), np.array([0], dtype=np.int32))
     complete = True
     try:
-        descend([0], viable0, [])
+        for first, d1 in enumerate(universe):
+            if first_element is None or d1 == first_element:
+                forbidden = outside | ((1 << d1) - 1)
+                _point_walk(group, universe, first, masks, forbidden, q - 1, emit, closure,
+                            deadline=deadline, stats=stats)
     except BudgetExceeded:
         complete = False
-    results.sort(key=lambda c: c.block)
     return results, complete
 
 
@@ -365,6 +371,7 @@ def _enumerate_structured(
     limit: int | None = None,
     first_element: int | None = None,
     time_budget_sec: float | None = None,
+    stats: dict | None = None,
 ) -> tuple[list[Candidate], bool]:
     """Orbit-structured enumeration under a stabilize constraint.
 
@@ -381,21 +388,14 @@ def _enumerate_structured(
     walks d0 and the orbit subsets, which is dramatically smaller than
     the element-by-element tree.
 
-    The orbit subsets are walked as a bitset search.  Per d0, each orbit
-    that is compatible with the base orbit gets one Python-int bitset of
-    the quotients it adds (its own and those across to the base), and each
-    pair of compatible orbits the bitset of its cross quotients, or None
-    when those already collide or leave the universe; one vectorised
-    gather per d0 builds all of them.  The walk carries the quotient mask
-    M of the points chosen so far and, per remaining orbit j, the mask
-    acc[j] of what j would add to them.  Orbit j is taken iff
-    (M | acc[j]) has k(k-1) bits for the k points it makes: each ordered
-    pair of the k points gives one quotient, so the count holds exactly
-    when all of them are distinct, which is condition (Q).  Taking orbit i
-    ORs the pair masks cross[i][j] into acc[j] and drops j where
-    cross[i][j] is None.  The completed blocks of one d0 are then tested
-    together for hat-canonicity (one sort of all their translates) and for
-    invariance under the stabilize group, and emitted in walk order.
+    Per d0, each orbit that is compatible with the base orbit gets one
+    bitset of the quotients it adds (its own and those across to the
+    base), and each pair of compatible orbits the bitset of its cross
+    quotients; one vectorised gather per d0 builds all of them, and
+    ``_orbit_subsets`` walks the orbit subsets.  The completed blocks of
+    one d0 are then tested for hat-canonicity (min(D*) in D, one AND per
+    block) and together for invariance under the stabilize group, and
+    emitted in walk order.
 
     One case escapes this decomposition: an invariant quotient set whose
     hats are all moved by gamma (several distinct hats sharing the
@@ -412,6 +412,7 @@ def _enumerate_structured(
     universe = residue_universe(group, subgroup)
     in_uni = np.zeros(n, dtype=bool)
     in_uni[list(universe)] = True
+    outside = ((1 << n) - 1) & ~_mask(universe)
     stab = _stabilize_perms(group, constraints)
 
     # Structure generator: a maximal prime-order power of the largest
@@ -485,9 +486,9 @@ def _enumerate_structured(
                 base.append(x)
                 x = tau[x]
             expected = 1 if d0 == 0 else m
-            if len(base) != expected or any(not in_uni[p] for p in base[1:]):
-                continue
             nb = len(base)
+            if nb != expected or nb > q + 1 or any(not in_uni[p] for p in base[1:]):
+                continue
             base_pts = np.array([base])
             ok, base_flags = injective(quotients(base_pts, base_pts), nb * (nb - 1))
             if not ok[0]:
@@ -507,12 +508,11 @@ def _enumerate_structured(
                 if all(in_uni[p] for p in orb):
                     orbits.append(orb)
             need = q + 1 - nb
-            base_bits = _bitsets(base_flags)[0]
-            leaves: list[tuple[list[int], int]] = []
-            pts = np.empty((0, 1), dtype=np.intp)
-            if need == 0:
-                leaves.append(([], base_bits))
-            elif orbits:
+            adds: list[int] = []
+            # cross[i][j] is 1 where orbits i and j collide: bit 0 (the
+            # identity) is always forbidden, so the walk never takes both
+            cross: list[list[int]] = []
+            if orbits:
                 # keep orbits compatible with the base block
                 width = max(len(o) for o in orbits)
                 pts = np.full((len(orbits), width), n)
@@ -529,6 +529,7 @@ def _enumerate_structured(
                 )
                 ok &= ~(flags & base_flags).any(axis=1)
                 keep = np.flatnonzero(ok)
+                orbits = [orbits[i] for i in keep]
                 pts, lens = pts[keep], lens[keep]
                 adds = _bitsets(flags[keep])
                 # cross quotients of each pair of compatible orbits
@@ -540,32 +541,34 @@ def _enumerate_structured(
                     ),
                     2 * lens[ii] * lens[jj],
                 )
-                cross: list[list[int | None]] = [[None] * c for _ in range(c)]
+                cross = [[1] * c for _ in range(c)]
                 for i, j, bits in zip(ii[ok].tolist(), jj[ok].tolist(), _bitsets(flags[ok])):
                     cross[i][j] = bits
-                leaves = _orbit_subsets(base_bits, adds, cross, lens.tolist(), nb, need)
+            leaves: list[tuple[int, int]] = []
+            _orbit_subsets(
+                _mask(base),
+                _bitsets(base_flags)[0],
+                outside,
+                adds,
+                cross,
+                [_mask(o) for o in orbits],
+                need,
+                lambda p, m: leaves.append((p, m)),
+                deadline=deadline,
+                stats=stats,
+            )
+            # the hat's least translate is the block holding min(D*)
+            leaves = [(p, m) for p, m in leaves if m & -m & p]
             if not leaves:
                 continue
-            # each leaf's block: the base and its orbits' points, sorted, with
-            # the padding (index -1 picks an all-padding row) sorted last
-            depth = max(len(chosen) for chosen, _ in leaves)
-            picked = np.array(
-                [chosen + [-1] * (depth - len(chosen)) for chosen, _ in leaves], dtype=np.intp
-            ).reshape(len(leaves), depth)
-            padded = np.vstack([pts, np.full(pts.shape[1], n)])[picked].reshape(len(leaves), -1)
-            blocks = np.sort(
-                np.concatenate([np.broadcast_to(base_pts, (len(leaves), nb)), padded], axis=1),
-                axis=1,
-            )[:, : q + 1]
-            canon = np.flatnonzero(_hat_canonical(group, blocks))
-            qflags = _flags([leaves[i][1] for i in canon], n)
-            invariant = np.ones(len(canon), dtype=bool)
+            qflags = _flags([m for _, m in leaves], n)
+            invariant = np.ones(len(leaves), dtype=bool)
             for perm in stab:
                 invariant &= (qflags[:, perm] == qflags).all(axis=1)
             for r in np.flatnonzero(invariant):
                 results.append(
                     Candidate(
-                        tuple(blocks[canon[r]].tolist()),
+                        tuple(_members(leaves[r][0])),
                         frozenset(np.flatnonzero(qflags[r]).tolist()),
                     )
                 )
@@ -578,52 +581,93 @@ def _enumerate_structured(
 
 
 def _orbit_subsets(
-    mask: int, adds: list[int], cross: list[list[int | None]], lens: list[int], nb: int, need: int
-) -> list[tuple[list[int], int]]:
-    """Every set of orbits (ascending indices, in DFS order) whose ``need``
-    points keep condition (Q) with the ``nb`` points of quotient mask
-    ``mask``, each with the quotient mask of the completed block.
+    points: int,
+    quotients: int,
+    forbidden: int,
+    adds: list[int | None],
+    cross: list[list[int]],
+    orbits: list[int],
+    need: int,
+    emit,
+    closure: tuple[int, list[int | None], list[list[int]]] | None = None,
+    deadline: float | None = None,
+    stats: dict | None = None,
+) -> None:
+    """Call ``emit(point mask, quotient mask)`` for every block that adds
+    orbits of ``need`` points in all to the base block ``points`` (quotient
+    mask ``quotients``) and keeps condition (Q) with no quotient in
+    ``forbidden``.  Orbits are taken in index order, so the blocks come out
+    in the lexicographic order of their orbit index lists.
 
-    ``adds[i]`` is what orbit i adds to the base alone and ``cross[i][j]``
-    (i < j) the cross quotients of orbits i and j, None if they collide.
+    ``orbits[i]`` is orbit i's point mask, ``adds[i]`` the quotients it adds
+    to the base alone (None: never taken) and ``cross[i][j]`` (i < j) those
+    between orbits i and j.  The walk carries the quotient mask M, seeded
+    with ``forbidden``, and per remaining orbit j the mask acc[j] of what j
+    would add.  Orbit j may join the k points so far iff (M | acc[j]) has
+    |forbidden| + k'(k'-1) bits for the k' points that makes: each ordered
+    pair gives one quotient, so the count holds exactly when all of them
+    are distinct and none is forbidden, which is condition (Q) inside the
+    allowed set.  Taking orbit i ORs cross[i][j] into acc[j].
+
+    ``closure`` = (C, cadds, ccross) holds the same masks closed under the
+    stabilize group (closure distributes over union), and orbit j may join
+    only while (C | cacc[j]) has at most q(q+1) bits.  ``deadline`` stops
+    the walk with BudgetExceeded at that monotonic time, as may ``emit``;
+    ``stats`` gains the node count.
     """
-    leaves: list[tuple[list[int], int]] = []
-    c = len(adds)
+    nb = points.bit_count()
+    lens = [o.bit_count() for o in orbits]
+    longest = max(lens, default=1)
+    goal = [forbidden.bit_count() + k * (k - 1) for k in range(nb + need + 1)] + [-1] * longest
+    cap = goal[nb + need] - forbidden.bit_count()
+    nodes = 0
+    if not need:
+        emit(points, quotients)
 
-    def pick(start: int, mask: int, acc: list[int | None], size: int, chosen: list[int]):
-        for i in range(start, c):
-            add = acc[i]
-            grown_size = size + lens[i]
-            if add is None or grown_size > need:
+    def grow(P: int, M: int, C: int, size: int, cands: list) -> None:
+        nonlocal nodes
+        for at, (i, add, cadd) in enumerate(cands):
+            nodes += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded
+            grown, M_i = size + lens[i], M | add
+            if grown == need:
+                emit(P | orbits[i], M_i ^ forbidden)
                 continue
-            k = nb + grown_size
-            grown = mask | add
-            if grown.bit_count() != k * (k - 1):
-                continue
-            if grown_size == need:
-                leaves.append((chosen + [i], grown))
-                continue
-            row = cross[i]
-            nxt: list[int | None] = [None] * c
-            for j in range(i + 1, c):
-                if acc[j] is not None and row[j] is not None:
-                    nxt[j] = acc[j] | row[j]
-            pick(i + 1, grown, nxt, grown_size, chosen + [i])
+            row, k = cross[i], nb + grown
+            if closure is None:
+                C_i = 0
+                nxt = [
+                    (j, b, 0)
+                    for j, a, _ in cands[at + 1 :]
+                    if (M_i | (b := a | row[j])).bit_count() == goal[k + lens[j]]
+                ]
+            else:
+                C_i, crow = C | cadd, closure[2][i]
+                nxt = [
+                    (j, b, cb)
+                    for j, a, ca in cands[at + 1 :]
+                    if (M_i | (b := a | row[j])).bit_count() == goal[k + lens[j]]
+                    and (C_i | (cb := ca | crow[j])).bit_count() <= cap
+                ]
+            if len(nxt) * longest >= need - grown:
+                grow(P | orbits[i], M_i, C_i, grown, nxt)
 
-    pick(0, mask, list(adds), 0, [])
-    return leaves
-
-
-def _hat_canonical(group: SL2, blocks: np.ndarray) -> np.ndarray:
-    """Per sorted block through the identity (one per row), whether it is
-    its hat's least translate: no B * d^-1 with d in B sorts before it."""
-    cay, inv = group.cayley, group.inverse_index
-    translates = np.sort(cay[blocks[:, None, :], inv[blocks][:, :, None]], axis=2)
-    differ = translates != blocks[:, None, :]
-    first = differ.argmax(axis=2)
-    at = np.take_along_axis(translates, first[..., None], axis=2)[..., 0]
-    own = np.take_along_axis(blocks, first, axis=1)
-    return ~(differ.any(axis=2) & (at < own)).any(axis=1)
+    M = forbidden | quotients
+    C, cadds = (0, [0] * len(adds)) if closure is None else closure[:2]
+    cands = [
+        (j, a, ca)
+        for j, (a, ca) in enumerate(zip(adds, cadds))
+        if a is not None
+        and (M | a).bit_count() == goal[nb + lens[j]]
+        and (C | ca).bit_count() <= cap
+    ]
+    try:
+        if need and (M.bit_count() == goal[nb]) and C.bit_count() <= cap:
+            grow(points, M, C, 0, cands)
+    finally:
+        if stats is not None:
+            stats["enumerate_nodes"] = stats.get("enumerate_nodes", 0) + nodes
 
 
 def is_valid_candidate(
@@ -647,15 +691,7 @@ def is_valid_candidate(
     for perm in _stabilize_perms(group, constraints):
         if frozenset(int(perm[x]) for x in qs) != qs:
             return False
-    cay, inv = group.cayley, group.inverse_index
-    canon = tuple(sorted(block))
-    for d in block:
-        if d == 0:
-            continue
-        tr = tuple(sorted(int(cay[x, inv[d]]) for x in block))
-        if tr < canon:
-            return False
-    return True
+    return canonical_hat_representative(group, block) == tuple(sorted(block))
 
 
 def canonical_hat_representative(group: SL2, block: tuple[int, ...]) -> tuple[int, ...]:
@@ -674,50 +710,23 @@ def hats_with_quotients(group: SL2, quotients: frozenset[int]) -> list[tuple[int
 
     Inside a hat each quotient appears in exactly one of the q+1 blocks
     through the identity, so every hat contains exactly one block through
-    the least quotient element; enumerating the blocks through 1 and that
-    element therefore meets each hat once.  Distinct hats sharing a
-    quotient set do occur, so the result can have several entries.
+    the least quotient element x0, and that block is the hat's least
+    translate (module docstring).  One walk over the quotient set seeded
+    with {1, x0} therefore meets each hat once, at its representative.
+    Distinct hats sharing a quotient set do occur, so the result can have
+    several entries.
     """
-    q = group.field.q
-    cay, inv = group.cayley, group.inverse_index
     elems = sorted(quotients)
-    qset = set(elems)
-    hats: set[tuple[int, ...]] = set()
-
-    def grow(pts: list[int], used: set[int], start: int):
-        if len(pts) == q + 1:
-            if used == qset:
-                hats.add(canonical_hat_representative(group, tuple(sorted(pts))))
-            return
-        for i in range(start, len(elems)):
-            e = elems[i]
-            if e in pts:
-                continue
-            new = []
-            ok = True
-            ie = int(inv[e])
-            for y in pts:
-                for v in (int(cay[e, inv[y]]), int(cay[y, ie])):
-                    if v not in qset or v in used or v in new:
-                        ok = False
-                        break
-                    new.append(v)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            used.update(new)
-            pts.append(e)
-            grow(pts, used, i + 1)
-            pts.pop()
-            used.difference_update(new)
-
-    # the block through 1 and the least element, then its completions
-    x0 = elems[0]
-    seed_new = {x0, int(cay[0, inv[x0]])}
-    if seed_new <= qset:
-        grow([0, x0], set(seed_new), 0)
-    return sorted(hats)
+    if not elems:
+        return []
+    qbits = _mask(elems)
+    bits = [1 << v for v in range(group.order)]
+    leaves: list[tuple[int, int]] = []
+    _point_walk(
+        group, elems, 0, (bits, _pair_masks(group, elems, bits)),
+        ((1 << group.order) - 1) & ~qbits, group.field.q - 1, lambda p, m: leaves.append((p, m)),
+    )
+    return [tuple(_members(p)) for p, m in leaves if m == qbits]
 
 
 # ----------------------------------------------------------------------
@@ -824,31 +833,22 @@ def _enumerate_branch(args):
     q, modulus, torus, constraints, limit, budget, method, first = args
     group = sl2_context(q, modulus)
     subgroup = group.cyclic_subgroup(*torus)
+    stats: dict = {}
     cands, complete = enumerate_candidates(
-        group,
-        subgroup,
-        constraints,
-        limit=limit,
-        first_element=first,
-        time_budget_sec=budget,
-        method=method,
+        group, subgroup, constraints, limit, first, method=method, time_budget_sec=budget,
+        stats=stats,
     )
-    return [c.block for c in cands], complete
+    return cands, complete, stats.get("enumerate_nodes", 0)
 
 
-def _enumerate_all(cfg: SearchConfig, group: SL2, subgroup: frozenset[int]):
+def _enumerate_all(cfg: SearchConfig, group: SL2, subgroup: frozenset[int], method: str, stats):
     if cfg.branches <= 1:
         return enumerate_candidates(
-            group,
-            subgroup,
-            cfg.constraints,
-            limit=cfg.candidate_limit,
-            time_budget_sec=cfg.time_budget_sec,
-            method=cfg.method,
+            group, subgroup, cfg.constraints, cfg.candidate_limit, method=method,
+            time_budget_sec=cfg.time_budget_sec, stats=stats,
         )
     universe = residue_universe(group, subgroup)
-    stab_gens = [g for c in cfg.constraints if c.mode == "stabilize" for g in c.generators]
-    if stab_gens and cfg.method in ("auto", "structured"):
+    if method == "structured":
         # structured enumeration branches over the hat translator d0
         firsts = [0] + list(universe)
     else:
@@ -856,29 +856,16 @@ def _enumerate_all(cfg: SearchConfig, group: SL2, subgroup: frozenset[int]):
         # which only those with inv(e) >= e survive the canonical prune
         inv = group.inverse_index
         firsts = [e for e in universe if int(inv[e]) >= e]
-    tasks = [
-        (
-            cfg.q,
-            cfg.modulus,
-            cfg.torus_params,
-            cfg.constraints,
-            cfg.candidate_limit,
-            cfg.time_budget_sec,
-            cfg.method,
-            f,
-        )
-        for f in firsts
-    ]
-    blocks: list[tuple[int, ...]] = []
+    shared = (cfg.q, cfg.modulus, cfg.torus_params, cfg.constraints, cfg.candidate_limit)
+    tasks = [shared + (cfg.time_budget_sec, method, f) for f in firsts]
+    cands: list[Candidate] = []
     complete = True
     with ProcessPoolExecutor(max_workers=cfg.branches) as pool:
-        for part, part_complete in pool.map(_enumerate_branch, tasks):
-            blocks.extend(part)
+        for part, part_complete, nodes in pool.map(_enumerate_branch, tasks):
+            cands.extend(part)
             complete &= part_complete
-    blocks.sort()
-    from .design import quotient_set
-
-    cands = [Candidate(b, quotient_set(group, b).elements) for b in blocks]
+            stats["enumerate_nodes"] = stats.get("enumerate_nodes", 0) + nodes
+    cands.sort(key=lambda c: c.block)
     if cfg.candidate_limit is not None and len(cands) > cfg.candidate_limit:
         cands = cands[: cfg.candidate_limit]
         complete = False
@@ -905,18 +892,12 @@ def search(cfg: SearchConfig) -> SearchResult:
             )
 
     t_enumerate = time.monotonic()
-    candidates, cand_complete = _enumerate_all(cfg, group, subgroup)
+    method = _resolve_method(group, cfg.constraints, cfg.method)
+    stats = {"enumeration_method": method, "enumerate_nodes": 0, "universe": len(universe)}
+    candidates, cand_complete = _enumerate_all(cfg, group, subgroup, method, stats)
     t_cover = time.monotonic()
-    stab_present = any(c.mode == "stabilize" for c in cfg.constraints)
-    stats = {
-        "candidates": len(candidates),
-        "candidates_complete": cand_complete,
-        "universe": len(universe),
-        "enumeration_method": (
-            cfg.method if cfg.method != "auto"
-            else ("structured" if stab_present else "generic")
-        ),
-    }
+    stats["candidates"] = len(candidates)
+    stats["candidates_complete"] = cand_complete
 
     # Distinct quotient sets with their witness blocks (normally unique).
     by_quotients: dict[frozenset[int], list[tuple[int, ...]]] = {}

@@ -275,11 +275,37 @@ class TestSearch:
     def test_stage_timings_are_machine_lines(self, capsys, tmp_path):
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+        counters = []
+        for _ in range(2):
+            code, machine, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
+            assert code == 0
+            lines = captured.out.splitlines()
+            stages = [l.split()[1:] for l in lines if l.startswith("@stage-ms ")]
+            assert [name for name, _ in stages] == ["enumerate", "cover", "verify"]
+            assert all(ms.isdigit() for _, ms in stages)
+            keys = [l.split()[0] for l in lines if l.startswith("@")]
+            last_stage = len(keys) - keys[::-1].index("@stage-ms")
+            assert keys[last_stage : last_stage + 2] == ["@enumerate-nodes", "@cover-nodes"]
+            assert machine["enumerate-nodes"].isdigit() and machine["cover-nodes"].isdigit()
+            counters.append((machine["enumerate-nodes"], machine["cover-nodes"]))
+        assert counters[0] == counters[1]
+
+    def test_identity_stabilize_constraint(self, capsys, tmp_path):
+        plain = {"q": 4, "torus": [1, 2]}
+        identity = dict(
+            plain, constraints=[{"mode": "stabilize", "generators": [{"conjugator": "one"}]}]
+        )
+        p = tmp_path / "config.json"
+        seen = []
+        for spec in (plain, identity):
+            p.write_text(json.dumps(spec))
+            code, machine, _ = run(capsys, "search", str(p), "--out", str(tmp_path))
+            assert code == 0
+            seen.append((machine["solutions"], machine["candidates"]))
+        assert seen[0] == seen[1]
+        p.write_text(json.dumps(dict(identity, method="structured")))
         code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
-        assert code == 0
-        stages = [l.split()[1:] for l in captured.out.splitlines() if l.startswith("@stage-ms ")]
-        assert [name for name, _ in stages] == ["enumerate", "cover", "verify"]
-        assert all(ms.isdigit() for _, ms in stages)
+        assert code == 2 and "stabilize" in captured.err and "Traceback" not in captured.err
 
     def test_field_flags_must_match_the_config(self, capsys, tmp_path):
         p = tmp_path / "config.json"

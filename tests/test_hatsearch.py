@@ -1,5 +1,8 @@
 """Candidate enumeration, exact cover, and the full search pipeline."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +12,12 @@ from sl2unitals import catalog
 from sl2unitals.design import build_affine_unital, check_P, quotient_set
 from sl2unitals.hatsearch import (
     BudgetExceeded,
+    Candidate,
     CoverInstance,
     CoverResult,
     SearchConfig,
     SymmetryConstraint,
+    _enumerate_all,
     _stabilize_perms,
     canonical_hat_representative,
     enumerate_candidates,
@@ -23,12 +28,13 @@ from sl2unitals.hatsearch import (
     search,
 )
 from sl2unitals.morphisms import are_isomorphic_affine
-from sl2unitals.sl2q import AutMap, sl2_context
+from sl2unitals.sl2q import SL2, AutMap, sl2_context
 
 
 # ----------------------------------------------------------------------
-# Test-only references: the list-scan cover and the full_check walk that
-# the bitset versions replaced.
+# Test-only references: the list-scan cover, the full_check walk, the
+# element-by-element enumerator and the hat recovery that the bitset
+# versions replaced.
 # ----------------------------------------------------------------------
 def _reference_cover(instance, max_nodes=None, resume=None):
     """Algorithm X with a list scan of every column's active rows per node."""
@@ -178,6 +184,180 @@ def _reference_structured(group, subgroup, constraints, first_element=None, tran
 
         pick(0, [], 0)
     return results
+
+
+# The element-by-element enumerator and the hat recovery that the shared
+# bitset walk replaced, kept verbatim.
+def _reference_generic(
+    group: SL2,
+    subgroup: frozenset[int],
+    constraints: tuple[SymmetryConstraint, ...] = (),
+    limit: int | None = None,
+    first_element: int | None = None,
+    time_budget_sec: float | None = None,
+) -> tuple[list[Candidate], bool]:
+    deadline = time.monotonic() + time_budget_sec if time_budget_sec is not None else None
+    q = group.field.q
+    target = q * (q + 1)
+    universe = np.array(residue_universe(group, subgroup), dtype=np.int32)
+    in_universe = np.zeros(group.order, dtype=bool)
+    in_universe[universe] = True
+    cay = group.cayley
+    inv = group.inverse_index
+    stab = _stabilize_perms(group, constraints)
+
+    q_mask = np.zeros(group.order, dtype=bool)
+    closure_mask = np.zeros(group.order, dtype=bool)
+    state = {"closure_count": 0, "emitted": 0}
+    results: list[Candidate] = []
+
+    def refine(viable: np.ndarray, d_arr: np.ndarray) -> np.ndarray:
+        if len(viable) == 0:
+            return viable
+        dinv = inv[d_arr]
+        left = cay[np.ix_(viable, dinv)]        # v * x^-1
+        right = cay[np.ix_(d_arr, inv[viable])].T  # x * v^-1
+        prods = np.concatenate([left, right], axis=1)
+        ok = in_universe[prods].all(axis=1) & (~q_mask[prods]).all(axis=1)
+        s = np.sort(prods, axis=1)
+        ok &= ~(s[:, 1:] == s[:, :-1]).any(axis=1)
+        return viable[ok]
+
+    def quotients_with(e: int, d_list: list[int]) -> list[int]:
+        ie = inv[e]
+        out = []
+        for x in d_list:
+            out.append(int(cay[e, inv[x]]))
+            out.append(int(cay[x, ie]))
+        return out
+
+    def emit(d_list: list[int], quotient_elems: frozenset[int]):
+        block = tuple(d_list)
+        # canonical-minimum over the hat translates
+        for d in d_list[1:]:
+            tid = inv[d]
+            tr = tuple(sorted(int(cay[x, tid]) for x in d_list))
+            if tr < block:
+                return
+        results.append(Candidate(block, quotient_elems))
+        state["emitted"] += 1
+        if limit is not None and state["emitted"] >= limit:
+            raise BudgetExceeded
+
+    def descend(d_list: list[int], viable: np.ndarray, mins: list[int]):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
+        for e in viable:
+            e = int(e)
+            if first_element is not None and len(d_list) == 1 and e != first_element:
+                continue
+            nq = quotients_with(e, d_list)
+            # viable is refreshed per node, so nq is collision-free already
+            trail = []
+            for v in nq:
+                if not q_mask[v]:
+                    q_mask[v] = True
+                    trail.append(v)
+            closure_trail = []
+            prune = False
+            if stab:
+                for v in nq:
+                    if not closure_mask[v]:
+                        closure_mask[v] = True
+                        closure_trail.append(v)
+                        state["closure_count"] += 1
+                    for perm in stab:
+                        w = int(perm[v])
+                        if not closure_mask[w]:
+                            closure_mask[w] = True
+                            closure_trail.append(w)
+                            state["closure_count"] += 1
+                prune = state["closure_count"] > target
+            # hat-canonicity: a translate whose least element undercuts
+            # the second element of D can only complete to a smaller rep
+            new_mins = None
+            if not prune:
+                ie = int(inv[e])
+                new_mins = [min(m, int(cay[e, inv[d]])) for m, d in zip(mins, d_list[1:])]
+                t_min = min(int(cay[x, ie]) for x in d_list)
+                new_mins.append(t_min)
+                first = d_list[1] if len(d_list) > 1 else e
+                prune = any(m < first for m in new_mins)
+            if not prune:
+                d_list.append(e)
+                if len(d_list) == q + 1:
+                    elems = frozenset(int(i) for i in np.nonzero(q_mask)[0])
+                    emit(d_list, elems)
+                else:
+                    nxt = refine(viable[viable > e], np.array(d_list, dtype=np.int32))
+                    if len(nxt) >= (q + 1) - len(d_list):
+                        descend(d_list, nxt, new_mins)
+                d_list.pop()
+            for v in trail:
+                q_mask[v] = False
+            for v in closure_trail:
+                closure_mask[v] = False
+            state["closure_count"] -= len(closure_trail)
+
+    viable0 = refine(universe.copy(), np.array([0], dtype=np.int32))
+    complete = True
+    try:
+        descend([0], viable0, [])
+    except BudgetExceeded:
+        complete = False
+    results.sort(key=lambda c: c.block)
+    return results, complete
+
+
+def _reference_hats(group: SL2, quotients: frozenset[int]) -> list[tuple[int, ...]]:
+    """Canonical representatives of every hat with the given quotient set.
+
+    Inside a hat each quotient appears in exactly one of the q+1 blocks
+    through the identity, so every hat contains exactly one block through
+    the least quotient element; enumerating the blocks through 1 and that
+    element therefore meets each hat once.  Distinct hats sharing a
+    quotient set do occur, so the result can have several entries.
+    """
+    q = group.field.q
+    cay, inv = group.cayley, group.inverse_index
+    elems = sorted(quotients)
+    qset = set(elems)
+    hats: set[tuple[int, ...]] = set()
+
+    def grow(pts: list[int], used: set[int], start: int):
+        if len(pts) == q + 1:
+            if used == qset:
+                hats.add(canonical_hat_representative(group, tuple(sorted(pts))))
+            return
+        for i in range(start, len(elems)):
+            e = elems[i]
+            if e in pts:
+                continue
+            new = []
+            ok = True
+            ie = int(inv[e])
+            for y in pts:
+                for v in (int(cay[e, inv[y]]), int(cay[y, ie])):
+                    if v not in qset or v in used or v in new:
+                        ok = False
+                        break
+                    new.append(v)
+                if not ok:
+                    break
+            if not ok:
+                continue
+            used.update(new)
+            pts.append(e)
+            grow(pts, used, i + 1)
+            pts.pop()
+            used.difference_update(new)
+
+    # the block through 1 and the least element, then its completions
+    x0 = elems[0]
+    seed_new = {x0, int(cay[0, inv[x0]])}
+    if seed_new <= qset:
+        grow([0, x0], set(seed_new), 0)
+    return sorted(hats)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +549,99 @@ class TestStructuredAgainstReference:
         assert seen == {0: (144, 0), 74: (98, 153), 3: ("torsion", 0)}
 
 
+def _q4_constraints(group):
+    x3 = next(group.elements[i] for i in range(group.order) if group.order_of_idx(i) == 3)
+    return {
+        "none": (),
+        "order3": (SymmetryConstraint((AutMap(x3, 0),), "stabilize"),),
+        "frobenius": (SymmetryConstraint((AutMap(group.one, 1),), "stabilize"),),
+    }
+
+
+class TestGenericAgainstReference:
+    """The shared bitset walk against the element-by-element enumerator
+    and the hat recovery it replaced."""
+
+    @staticmethod
+    def outcome(result):
+        cands, complete = result
+        return [(c.block, c.quotients) for c in cands], complete
+
+    @pytest.mark.parametrize("kind", ["none", "order3", "frobenius"])
+    def test_q4_every_torus(self, kind):
+        group = sl2_context(4)
+        con = _q4_constraints(group)[kind]
+        for torus in _irreducible_tori(group):
+            subgroup = group.cyclic_subgroup(*torus)
+            for limit in (None, 1, 7):
+                got = enumerate_candidates(group, subgroup, con, limit=limit, method="generic")
+                ref = _reference_generic(group, subgroup, con, limit=limit)
+                assert self.outcome(got) == self.outcome(ref), (torus, limit)
+                if torus == group.default_torus() and limit is None:
+                    assert len(got[0]) == {"none": 202, "order3": 2, "frobenius": 4}[kind]
+
+    def test_q4_first_element(self, q4):
+        group, torus = q4
+        universe = residue_universe(group, torus)
+        inv = group.inverse_index
+        sizes = []
+        for first in (universe[0], universe[len(universe) // 2], universe[-1]):
+            got = enumerate_candidates(group, torus, first_element=first)
+            ref = _reference_generic(group, torus, first_element=first)
+            assert self.outcome(got) == self.outcome(ref), first
+            assert all(c.block[1] == first for c in got[0])
+            sizes.append(len(got[0]))
+        # the last element's inverse lies below it, so its branch is empty
+        assert inv[universe[-1]] < universe[-1] and sizes[-1] == 0 and sizes[0] > 0
+
+    def test_hats_q4_every_candidate(self):
+        group = sl2_context(4)
+        shared = 0
+        for torus in _irreducible_tori(group):
+            cands, _ = enumerate_candidates(group, group.cyclic_subgroup(*torus))
+            for c in cands:
+                hats = hats_with_quotients(group, c.quotients)
+                assert hats == _reference_hats(group, c.quotients), c.block
+                shared += len(hats) > 1
+        assert shared  # quotient sets that several hats share
+        # a block's quotients must be the whole set, not q(q+1) of its elements
+        qs = cands[0].quotients
+        wider = qs | {max(set(range(group.order)) - qs)}
+        assert hats_with_quotients(group, wider) == _reference_hats(group, wider) == []
+
+    def test_hats_q8_symmetric_solutions(self, sl2, search_result_symmetric):
+        _, result = search_result_symmetric
+        qsets = {quotient_set(sl2, b).elements for s in result.systems for b in s.bases}
+        assert len(qsets) >= 6
+        for qs in qsets:
+            assert hats_with_quotients(sl2, qs) == _reference_hats(sl2, qs)
+
+    def test_least_quotient_marks_least_translate(self):
+        # the canonicity rule of the walk: a (Q)-block through 1 is its
+        # hat's least translate iff it holds the least of its quotients
+        group = sl2_context(4)
+        cay, inv = group.cayley.tolist(), group.inverse_index.tolist()
+        blocks = []
+
+        def grow(pts, used):
+            if len(pts) == group.field.q + 1:
+                blocks.append(tuple(pts))
+                return
+            for e in range(pts[-1] + 1, group.order):
+                new = [v for y in pts for v in (cay[e][inv[y]], cay[y][inv[e]])]
+                if len(set(new)) == len(new) and not used & set(new):
+                    grow(pts + [e], used | set(new))
+
+        grow([0], set())
+        assert len(blocks) == 4410
+        canonical = 0
+        for b in blocks:
+            least = min(quotient_set(group, b).elements) in b
+            assert (canonical_hat_representative(group, b) == b) == least, b
+            canonical += least
+        assert 0 < canonical < len(blocks)
+
+
 class TestExactCover:
     def test_toy_instance_unique_solution(self):
         universe = tuple(range(7))
@@ -542,6 +815,35 @@ class TestSearch:
         )
         with pytest.raises(ValueError, match="at most one"):
             search(cfg)
+
+    def test_identity_stabilize_runs_generic(self):
+        group = sl2_context(4)
+        con = (SymmetryConstraint((AutMap(group.one, 0),), "stabilize"),)
+        plain = search(SearchConfig(q=4))
+        result = search(SearchConfig(q=4, constraints=con))
+        assert result.stats["enumeration_method"] == "generic"
+        assert result.systems == plain.systems and result.complete
+        with pytest.raises(ValueError, match="span only the identity"):
+            search(SearchConfig(q=4, constraints=con, method="structured"))
+
+    def test_branches_match_one_branch(self):
+        group = sl2_context(4)
+        subgroup = group.cyclic_subgroup(*group.default_torus())
+        for limit in (None, 7):
+            one = SearchConfig(q=4, torus_params=group.default_torus(), candidate_limit=limit)
+            two = replace(one, branches=2)
+            one_stats, two_stats = {}, {}
+            assert _enumerate_all(one, group, subgroup, "generic", one_stats) == _enumerate_all(
+                two, group, subgroup, "generic", two_stats
+            )
+            if limit is None:
+                assert one_stats == two_stats  # the branches split the same walk
+        one = SearchConfig(q=4)
+        a, b = search(one), search(replace(one, branches=2))
+        assert a.complete and b.complete and a.systems
+        assert [catalog.serialize(s) for s in a.systems] == [
+            catalog.serialize(s) for s in b.systems
+        ]
 
     def test_stage_timings(self):
         stats = search(SearchConfig(q=4)).stats
