@@ -236,25 +236,44 @@ def serialize(
     return "\n".join(lines) + "\n"
 
 
-def _parse_matrix(tokens: list[str], lineno: int, group: SL2) -> int:
+def matrix_index(group: SL2, tokens: list[str]) -> int:
+    """The element index of a matrix written as four field codes, or a
+    ValueError saying what is wrong with them."""
     if len(tokens) != 4:
-        raise ParseError(f"expected 4 codes per matrix, got {len(tokens)}", lineno)
+        raise ValueError(f"expected 4 codes per matrix, got {len(tokens)}")
     try:
         codes = [int(t) for t in tokens]
     except ValueError:
-        raise ParseError(f"non-integer matrix entry in {tokens}", lineno) from None
+        raise ValueError(f"non-integer matrix entry in {tokens}") from None
     q = group.field.q
     if any(not 0 <= c < q for c in codes):
-        raise ParseError(f"matrix entry out of field range [0,{q})", lineno)
+        raise ValueError(f"matrix entry out of field range [0,{q})")
+    return group.idx(group.element(*codes))
+
+
+def _parse_matrix(tokens: list[str], lineno: int, group: SL2) -> int:
     try:
-        elt = group.element(*codes)
+        return matrix_index(group, tokens)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
-    return group.idx(elt)
 
 
-def parse(text: str, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str]]:
-    """Parse the file format; returns the system and header metadata."""
+def decode(data: bytes) -> str:
+    """The UTF-8 text of ``data``, or a ParseError at the line of the first
+    byte that is not UTF-8 (lines counted as ``str.splitlines`` counts them)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        message = f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})"
+        raise ParseError(message, line) from None
+
+
+def parse(text: str | bytes, group: SL2 | None = None) -> tuple[HatSystem, dict[str, str]]:
+    """Parse the file format (text, or bytes that must be UTF-8); returns
+    the system and header metadata."""
+    if isinstance(text, bytes):
+        text = decode(text)
     q = None
     modulus = None
     meta: dict[str, str] = {}

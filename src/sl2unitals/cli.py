@@ -10,11 +10,10 @@ checks passed, 1 semantic failure (axiom, isomorphism, expectation),
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import catalog
 from .design import (
@@ -27,10 +26,12 @@ from .design import (
     verify_affine_unital,
     verify_design,
 )
-from .hatsearch import SearchConfig, SymmetryConstraint, search
-from .morphisms import are_isomorphic_affine, closures_isomorphic, stabilizer_of_identity
-from .onan import count_onan_through, find_onan
 from .sl2q import SL2, AutMap, sl2_context
+
+# The search, isomorphism and O'Nan modules are imported by the commands
+# that run them, so the other commands do not pay for their start-up.
+if TYPE_CHECKING:
+    from .hatsearch import SearchConfig
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,7 +70,7 @@ def _load_source(source: str, q: int | None, modulus: int | None):
         path = Path(source)
         if not path.exists():
             raise ValueError(f"unknown catalog name or missing file: {source}")
-        system, meta = catalog.parse(path.read_text())
+        system, meta = catalog.parse(path.read_bytes())
     _check_field(system.group, q, modulus, source)
     return system, meta
 
@@ -115,6 +116,8 @@ def cmd_verify(args, out: Output) -> int:
 
 
 def cmd_aut(args, out: Output) -> int:
+    from .morphisms import stabilizer_of_identity
+
     unital, _ = _build(args.source, args.q, args.modulus)
     maps, desc = stabilizer_of_identity(unital)
     full = len(maps) * unital.group.order
@@ -131,6 +134,8 @@ def cmd_aut(args, out: Output) -> int:
 
 
 def cmd_iso(args, out: Output) -> int:
+    from .morphisms import are_isomorphic_affine, closures_isomorphic
+
     u1, _ = _build(args.a, args.q, args.modulus)
     u2, _ = _build(args.b, args.q, args.modulus)
     if args.closed:
@@ -156,10 +161,19 @@ def cmd_iso(args, out: Output) -> int:
 
 
 def cmd_onan(args, out: Output) -> int:
+    from .onan import count_onan_through, find_onan
+
+    if args.budget is not None:
+        if args.count_through is None:
+            raise ValueError("--budget applies only with --count-through")
+        if args.budget < 1:
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
     unital, _ = _build(args.source, args.q, args.modulus)
     if args.count_through is not None:
-        codes = tuple(int(c) for c in args.count_through.replace(",", " ").split())
-        point = unital.group.idx(unital.group.element(*codes))
+        try:
+            point = catalog.matrix_index(unital.group, args.count_through.replace(",", " ").split())
+        except ValueError as exc:
+            raise ValueError(f"--count-through {args.count_through}: {exc}") from None
         res = count_onan_through(unital, point, budget=args.budget)
         out.say(f"{res.count} configurations through the point ({'complete' if res.complete else 'partial'})")
         out.emit("count", res.count)
@@ -242,6 +256,8 @@ def _known_keys(spec: dict, known, where: str):
 
 
 def _search_config(spec, args) -> SearchConfig:
+    from .hatsearch import SearchConfig, SymmetryConstraint
+
     spec = _typed(spec, dict, "the top level")
     _known_keys(spec, _CONFIG_KEYS, "the top level")
     spec = {k: v for k, v in spec.items() if v is not None}  # null reads as not given
@@ -299,7 +315,15 @@ def _search_config(spec, args) -> SearchConfig:
 
 
 def cmd_search(args, out: Output) -> int:
-    spec = json.loads(Path(args.config).read_text())
+    import hashlib
+    import json
+
+    from .hatsearch import search
+
+    try:
+        spec = json.loads(catalog.decode(Path(args.config).read_bytes()))
+    except (catalog.ParseError, json.JSONDecodeError) as exc:
+        raise ValueError(f"search config {args.config}: {exc}") from None
     cfg = _search_config(spec, args)
     t0 = time.monotonic()
     result = search(cfg)
@@ -394,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Output(args.format)
     try:
         return args.func(args, out)
-    except (catalog.ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (catalog.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnitalError as exc:

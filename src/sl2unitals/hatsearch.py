@@ -50,7 +50,6 @@ parallel branch tasks changes nothing but wall time.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -847,6 +846,8 @@ def _enumerate_all(cfg: SearchConfig, group: SL2, subgroup: frozenset[int], meth
             group, subgroup, cfg.constraints, cfg.candidate_limit, method=method,
             time_budget_sec=cfg.time_budget_sec, stats=stats,
         )
+    from concurrent.futures import ProcessPoolExecutor  # only this path starts a pool
+
     universe = residue_universe(group, subgroup)
     if method == "structured":
         # structured enumeration branches over the hat translator d0

@@ -217,3 +217,26 @@ class TestFileFormatProperties:
             parse("\n".join(lines) + "\n", group=sl2)
         except ParseError:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(catalog.NAMES),
+        at=st.integers(0, 10**6),
+        junk=st.binary(max_size=12),
+        whole=st.binary(max_size=64),
+    )
+    def test_arbitrary_bytes_raise_only_parse_error(self, sl2, name, at, junk, whole):
+        data = serialize(load(name, sl2), name=name).encode()
+        at %= len(data) + 1
+        for blob in (data[:at] + junk + data[at:], whole):
+            try:
+                parse(blob, group=sl2)
+            except ParseError:
+                pass
+
+    def test_non_utf8_byte_reports_its_line(self, sl2):
+        # lines end as str.splitlines ends them: \r\n, \r and U+2028 too
+        data = b"unital v1\r\nq 8\rmodulus 11" + "\u2028".encode() + b"S \xfe"
+        with pytest.raises(ParseError, match=r"^line 4: not UTF-8 text: byte 0xfe") as err:
+            parse(data, group=sl2)
+        assert err.value.line == 4

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes and machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sl2unitals import cli
+from sl2unitals import hatsearch
 from sl2unitals.cli import main
 from sl2unitals.hatsearch import SearchResult
 
@@ -60,9 +64,11 @@ class TestVerify:
             (["unital v1", "q 4", "modulus -7"], 3),
             (["unital v1", "q 0", "modulus 11"], 2),
             (["unital v1", "q -8", "modulus 11"], 2),
+            (["unital v1", "q 8", "modulus 1\udcff"], 3),  # byte 0xff: not UTF-8
             (["unital v1", "q 32", "modulus 37"], 2),
         ]:
-            (tmp_path / "junk.unital").write_text("\n".join(text) + "\n")
+            data = ("\n".join(text) + "\n").encode("utf-8", "surrogateescape")
+            (tmp_path / "junk.unital").write_bytes(data)
             code, _, captured = run(capsys, "verify", str(tmp_path / "junk.unital"))
             assert code == 2
             assert captured.err.startswith(f"error: line {line}:")
@@ -169,6 +175,22 @@ class TestOnan:
         assert code == 3
         assert machine["complete"] == "no"
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--count-through", "1,2"], "--count-through"),
+            (["--count-through", "9,0,0,1"], "--count-through"),
+            (["--count-through=-7,0,0,1"], "--count-through"),
+            (["--count-through", "1,0,0,1", "--budget", "-5"], "--budget"),
+            (["--count-through", "1,0,0,1", "--budget", "0"], "--budget"),
+            (["--budget", "5"], "--budget"),
+        ],
+    )
+    def test_bad_count_flags_are_input_errors(self, capsys, flags, named):
+        code, _, captured = run(capsys, "onan", "wu", *flags)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
 
 class TestCloseExport:
     def test_close_then_verify(self, capsys, tmp_path):
@@ -223,7 +245,7 @@ class TestSearch:
         """The SearchConfig that the command builds from the spec and flags."""
         seen = []
         monkeypatch.setattr(
-            cli, "search", lambda cfg: seen.append(cfg) or SearchResult([], True)
+            hatsearch, "search", lambda cfg: seen.append(cfg) or SearchResult([], True)
         )
         path = tmp_path / "search.json"
         path.write_text(json.dumps(spec))
@@ -245,6 +267,13 @@ class TestSearch:
         p.write_text("{not json")
         code, _, _ = run(capsys, "search", str(p))
         assert code == 2
+
+    def test_non_utf8_config_is_named(self, capsys, tmp_path):
+        p = tmp_path / "binary.json"
+        p.write_bytes(b'{"q": 4,\n "torus": [1, 2],\n "\xff": 1}\n')
+        code, _, captured = run(capsys, "search", str(p))
+        assert code == 2
+        assert captured.err.startswith(f"error: search config {p}: line 3:")
 
     def test_malformed_config_is_input_error(self, capsys, tmp_path):
         q4 = {"q": 4, "torus": [1, 2]}
@@ -312,3 +341,34 @@ class TestSearch:
         p.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
         code, _, captured = run(capsys, "--q", "8", "search", str(p), "--out", str(tmp_path))
         assert code == 2 and "--q 8" in captured.err and "q 4" in captured.err
+
+
+#: Runs two commands in one fresh interpreter and prints, after each, which
+#: of the modules that only some commands need it has loaded.
+_LOADED_AFTER = """
+import json, sys
+from sl2unitals.cli import main
+watched = ["sl2unitals.hatsearch", "sl2unitals.morphisms", "sl2unitals.onan",
+           "concurrent.futures"]
+seen = {}
+for argv in (["verify", "wu"], ["search", sys.argv[1], "--out", sys.argv[2]]):
+    assert main(["--format", "machine", *argv]) == 0
+    seen[argv[0]] = [m for m in watched if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    config = tmp_path / "search.json"
+    config.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, str(config), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["verify"] == []
+    assert "sl2unitals.hatsearch" in seen["search"]
+    assert "concurrent.futures" not in seen["search"]  # one branch starts no pool

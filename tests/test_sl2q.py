@@ -1,6 +1,7 @@
 """Group substrate tests: enumeration, subgroups, automorphisms."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,52 @@ def brute_force_elements(field: GF2e) -> set[tuple]:
                     if field.mul(a, d) ^ field.mul(b, c) == 1:
                         out.add((a, b, c, d))
     return out
+
+
+def reference_tables(field: GF2e) -> dict:
+    """Independent oracle for the vectorised constructor: the element loop
+    solving ad + bc = 1 for the second row, the Cayley table from int64
+    products of the four entries, and the Sylow subgroups conjugated one
+    element at a time."""
+    q = field.q
+    one = (1, 0, 0, 1)
+    elems = [one]
+    for a in range(q):
+        for b in range(q):
+            if a == 0 and b == 0:
+                continue
+            for c in range(q):
+                if a != 0:
+                    t = (a, b, c, field.mul(1 ^ field.mul(b, c), field.inv(a)))
+                    if t != one:
+                        elems.append(t)
+                elif c == field.inv(b):
+                    elems.extend((a, b, c, d) for d in range(q))
+    elements = [one] + sorted(elems[1:])
+    index = {t: i for i, t in enumerate(elements)}
+    n, e = len(elements), field.e
+    arr = np.array(elements, dtype=np.int64)
+    a, b, c, d = arr.T
+    M = field.mul_table.astype(np.int64)
+    packed_index = np.full(1 << (4 * e), -1, dtype=np.int32)
+    packed_index[(a << 3 * e) | (b << 2 * e) | (c << e) | d] = np.arange(n, dtype=np.int32)
+    pa = M[a[:, None], a[None, :]] ^ M[b[:, None], c[None, :]]
+    pb = M[a[:, None], b[None, :]] ^ M[b[:, None], d[None, :]]
+    pc = M[c[:, None], a[None, :]] ^ M[d[:, None], c[None, :]]
+    pd = M[c[:, None], b[None, :]] ^ M[d[:, None], d[None, :]]
+    cayley = packed_index[(pa << 3 * e) | (pb << 2 * e) | (pc << e) | pd].astype(np.int32)
+    inverse = packed_index[(d << 3 * e) | (b << 2 * e) | (c << e) | a].astype(np.int32)
+    F = np.asarray(field._frob, dtype=np.int64)
+    frob = packed_index[(F[a] << 3 * e) | (F[b] << 2 * e) | (F[c] << e) | F[d]].astype(np.int32)
+
+    def conj_idx(i, h):
+        return int(cayley[cayley[inverse[h], i], h])
+
+    upper = frozenset(index[(1, x, 0, 1)] for x in range(q))
+    seen = {upper} | {frozenset(conj_idx(t, h) for t in upper) for h in range(n)}
+    sylow = tuple(sorted(seen, key=lambda s: sorted(s)))
+    return dict(elements=elements, index=index, cayley=cayley, inverse_index=inverse,
+                frob_index=frob, sylow_subgroups=sylow)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +98,28 @@ class TestEnumeration:
 
     def test_no_duplicates(self, sl8):
         assert len(set(sl8.elements)) == sl8.order
+
+    @pytest.mark.parametrize("e,modulus", [(1, 3), (2, 7), (3, 11), (3, 13)])
+    def test_tables_match_the_reference_constructor(self, e, modulus):
+        field = GF2e(e, modulus)
+        group, ref = SL2(field), reference_tables(field)
+        assert group.elements == ref["elements"]
+        assert list(group.index.items()) == list(ref["index"].items())
+        for key in ("cayley", "inverse_index", "frob_index"):
+            table = getattr(group, key)
+            assert table.dtype == ref[key].dtype and np.array_equal(table, ref[key]), key
+        assert group.sylow_subgroups == ref["sylow_subgroups"]
+
+    def test_build_peak_memory_near_the_table(self):
+        # The int64 build of the reference peaks at 12x the table.
+        field = GF2e(3)
+        tracemalloc.start()
+        try:
+            group = SL2(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * group.cayley.nbytes
 
     def test_element_validates_determinant(self, sl8):
         with pytest.raises(ValueError, match="determinant"):
