@@ -21,6 +21,22 @@ has exactly two of its blocks through it, so it is counted once, which
 makes the per-point counts well defined.  On an affine unital the right
 translations act transitively on points, so existence scans may anchor
 at the identity; closed unitals are scanned over every point.
+
+A full count at an anchor with at most 64 blocks through it (every
+unital with q <= 8) goes point by point instead, with bitsets.  Let
+beta(p) be the rank of J(a, p) among the blocks through a, and give each
+block L off a the mask S(L) of the beta(p) over its points: the blocks
+through a that L meets, each in one point.  The two blocks of a
+configuration off a, L3 and L4, meet in one point d, and the blocks
+through a that meet both away from d are those of
+S(L3) & S(L4) without beta(d).  Any two of them complete the
+configuration, so with c that count
+
+    count(a) = sum over d != a, over pairs {L3, L4} through d, of C(c, 2).
+
+One popcount per block pair through each point gives it.  The pair scan
+still answers budgeted counts, witnesses and anchors with more than 64
+blocks, and it defines the order in which budgets admit block pairs.
 """
 
 from __future__ import annotations
@@ -134,13 +150,61 @@ def _anchored_scan(
     return count, stop == len(checked), int(checked[stop - 1]) if stop else 0, None
 
 
+def _mask_count(structure: _Incidence, anchor: int) -> int:
+    """Configurations through the anchor, point by point (module docstring).
+
+    Needs at most 64 blocks through the anchor, one bit of a uint64 each.
+    """
+    n, n_blocks = structure.n_points, len(structure.block_sizes)
+    through = structure.point_blocks[anchor]
+    # bit[p] = 1 << beta(p); 0 at the anchor and at points not joined to it (pair_block -1)
+    rank_bit = np.zeros(n_blocks + 1, dtype=np.uint64)
+    rank_bit[through] = np.uint64(1) << np.arange(len(through), dtype=np.uint64)
+    bit = rank_bit[structure.pair_block[anchor]]
+    # S(L) for every block, then 0 for a sink block; a padded row repeats a point, which
+    # the OR ignores
+    masks = np.append(np.bitwise_or.reduce(bit[structure.block_array], axis=1), np.uint64(0))
+    # column d: S(L) without beta(d) for the blocks L through d, padded with the sink.  A
+    # block through the anchor has the one bit beta(d) at each other point d of it, which
+    # leaves it 0, and the anchor's own column holds disjoint single bits: neither counts.
+    degrees = np.fromiter(map(len, structure.point_blocks), np.intp, n)
+    table = np.full((degrees.max(initial=0), n), n_blocks)
+    table.T[np.arange(len(table)) < degrees[:, None]] = np.concatenate(structure.point_blocks)
+    table = masks[table] & ~bit
+    # the pairs (i, i + k) of blocks through each point, one offset k at a time
+    twice = 0  # sum of c(c - 1) = 2 C(c, 2)
+    for k in range(1, len(table)):
+        c = np.bitwise_count(table[:-k] & table[k:]).astype(np.uint16)
+        twice += int((c * (c - 1)).sum(dtype=np.uint64))
+    return twice // 2
+
+
+def _quadruples(structure: _Incidence, anchor: int) -> int:
+    """The pair scan's ``checked`` for a whole anchor: over the pairs of
+    blocks through it, the cell pairs (x, y), (x', y') with x != x', y != y'."""
+    away = structure.block_sizes[structure.point_blocks[anchor]].astype(np.int64) - 1
+    ordered = (away * (away - 1)).tolist()  # (x, x') per block, as Python ints
+    total = sum(ordered)
+    return (total * total - sum(o * o for o in ordered)) // 4
+
+
+def _check_point(structure: _Incidence, point) -> None:
+    if not 0 <= point < structure.n_points:
+        raise ValueError(f"point {point} is not in range({structure.n_points})")
+
+
 def find_onan(structure: _Incidence, anchor: int | None = None) -> OnanConfig | None:
-    """A witness configuration, or None (scanning all points if no anchor)."""
-    anchors = range(structure.n_points) if anchor is None else (anchor,)
-    for a in anchors:
-        _, _, _, cfg = _anchored_scan(structure, a, want_witness=True)
-        if cfg is not None:
-            return cfg
+    """A witness configuration, or None (scanning all points if no anchor).
+
+    The full scan looks for a witness only at the first point whose count
+    is nonzero, which is where the unfiltered scan would find it.
+    """
+    if anchor is not None:
+        _check_point(structure, anchor)
+        return _anchored_scan(structure, anchor, want_witness=True)[3]
+    for a in range(structure.n_points):
+        if count_onan_through(structure, a).count:
+            return _anchored_scan(structure, a, want_witness=True)[3]
     return None
 
 
@@ -158,6 +222,14 @@ def contains_onan(structure: _Incidence, exhaustive: bool = False) -> bool:
 
 
 def count_onan_through(structure: _Incidence, point: int, budget: int | None = None) -> OnanCount:
-    """Number of configurations whose six points include the given point."""
+    """Number of configurations whose six points include the given point.
+
+    Without a budget and with at most 64 blocks through the point the
+    mask count answers, else the pair scan; both report the same
+    ``checked``, the pair scan's quadruples for the block pairs admitted.
+    """
+    _check_point(structure, point)
+    if budget is None and len(structure.point_blocks[point]) <= 64:
+        return OnanCount(_mask_count(structure, point), True, _quadruples(structure, point))
     count, complete, checked, _ = _anchored_scan(structure, point, budget=budget)
     return OnanCount(count, complete, checked)

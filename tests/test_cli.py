@@ -343,6 +343,65 @@ class TestSearch:
         assert code == 2 and "--q 8" in captured.err and "q 4" in captured.err
 
 
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """Files for the exit-code table: wu with one base element changed,
+    so it parses but breaks (P), and three search configs."""
+    root = tmp_path_factory.mktemp("contract")
+    assert main(["--format", "machine", "export", "wu", str(root / "wu.unital")]) == 0
+    text = (root / "wu.unital").read_text()
+    (root / "broken-p.unital").write_text(text.replace("0 2 5 4", "0 2 5 7", 1))
+    (root / "q4.json").write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+    limited = {"q": 4, "torus": [1, 2], "candidate_limit": 5}
+    (root / "q4-limit.json").write_text(json.dumps(limited))
+    (root / "broken.json").write_text("{not json")
+    return root
+
+
+#: Every subcommand with each exit code it can give: 0 pass, 1 semantic
+#: failure, 2 input error, 3 budget exhausted.  "{dir}" is the directory of
+#: ``contract_inputs``.
+EXIT_CODES = [
+    ("verify", ["verify", "wu"], 0),
+    ("verify", ["verify", "{dir}/broken-p.unital"], 1),
+    ("verify", ["verify", "{dir}/missing.unital"], 2),
+    ("aut", ["aut", "wu"], 0),
+    ("aut", ["aut", "{dir}/broken-p.unital"], 1),
+    ("aut", ["--q", "4", "aut", "wu"], 2),
+    ("iso", ["iso", "wu", "wu"], 0),
+    ("iso", ["iso", "ou", "pu"], 1),
+    ("iso", ["iso", "wu", "wu", "--closed", "flat", "natural"], 1),
+    ("iso", ["iso", "wu", "{dir}/missing.unital"], 2),
+    ("onan", ["onan", "wu"], 0),
+    ("onan", ["onan", "classical8", "--expect-found"], 1),
+    ("onan", ["onan", "{dir}/broken-p.unital"], 1),
+    ("onan", ["onan", "wu", "--count-through", "1,0,0,1", "--budget", "0"], 2),
+    ("onan", ["onan", "wu", "--count-through", "1,0,0,1", "--budget", "100"], 3),
+    ("close", ["close", "wu", "natural", "{dir}/wu-natural.unital"], 0),
+    ("close", ["close", "{dir}/broken-p.unital", "flat", "{dir}/out.unital"], 1),
+    ("close", ["close", "wu", "natural", "{dir}/no-such-dir/out.unital"], 2),
+    ("search", ["search", "{dir}/q4.json", "--out", "{dir}/found"], 0),
+    ("search", ["search", "{dir}/broken.json"], 2),
+    ("search", ["search", "{dir}/q4-limit.json", "--out", "{dir}/found"], 3),
+    ("export", ["export", "pu", "{dir}/pu.unital"], 0),
+    ("export", ["export", "nope", "{dir}/nope.unital"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,argv,code", EXIT_CODES, ids=[f"{c}-{code}" for c, _, code in EXIT_CODES]
+)
+def test_exit_code_contract(capsys, contract_inputs, command, argv, code):
+    argv = [a.format(dir=contract_inputs) for a in argv]
+    got, _, captured = run(capsys, "--format", "machine", *argv)
+    assert got == code
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    else:
+        # a semantic failure is reported on stdout, or as one "failure:" line
+        assert captured.err == "" or (code == 1 and captured.err.startswith("failure: "))
+
+
 #: Runs two commands in one fresh interpreter and prints, after each, which
 #: of the modules that only some commands need it has loaded.
 _LOADED_AFTER = """

@@ -1,11 +1,16 @@
 """O'Nan configurations: the published examples, existence, counting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl2unitals.design import close, flat_parallelism, natural_parallelism
+from sl2unitals import onan
+from sl2unitals.design import _Incidence, close, flat_parallelism, natural_parallelism
 from sl2unitals.morphisms import UnitalMap, point_perm, stabilizer_of_identity
 from sl2unitals.onan import (
     OnanConfig,
+    _anchored_scan,
     contains_onan,
     count_onan_through,
     find_onan,
@@ -184,6 +189,45 @@ class TestCounting:
         b = count_onan_through(unitals["wu"], 0, budget=50_000)
         assert (a.count, a.checked) == (b.count, b.checked)
 
+    @pytest.mark.parametrize("point", [-1, 504])
+    def test_out_of_range_point_rejected(self, unitals, point):
+        message = rf"point {point} is not in range\(504\)"
+        with pytest.raises(ValueError, match=message):
+            count_onan_through(unitals["wu"], point)
+        with pytest.raises(ValueError, match=message):
+            count_onan_through(unitals["wu"], point, budget=100)
+        with pytest.raises(ValueError, match=message):
+            find_onan(unitals["wu"], anchor=point)
+
+
+def pair_scan(structure, anchor):
+    """(count, complete, checked) from the block-pair scan."""
+    return _anchored_scan(structure, anchor)[:3]
+
+
+def unfiltered_find(structure):
+    """The witness of the scan that tries every anchor in turn."""
+    for a in range(structure.n_points):
+        cfg = _anchored_scan(structure, a, want_witness=True)[3]
+        if cfg is not None:
+            return cfg
+    return None
+
+
+def sub_structure(structure, keep):
+    """The structure on the same points with only the blocks where ``keep`` holds."""
+    keep = np.asarray(keep, dtype=bool)
+    return _Incidence(structure.n_points, structure.block_array[keep], structure.block_sizes[keep])
+
+
+def projective_lines(dim):
+    """The lines of PG(dim, 2): point v - 1 for each nonzero vector v of
+    GF(2)^(dim + 1), and the line {x, y, x + y} through each two."""
+    n = 2 ** (dim + 1) - 1
+    pairs = ((x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1))
+    lines = sorted({tuple(sorted((x - 1, y - 1, (x ^ y) - 1))) for x, y in pairs})
+    return _Incidence(n, np.array(lines, dtype=np.int32), np.full(len(lines), 3, dtype=np.int32))
+
 
 def reference_count(structure, anchor, join):
     """Configurations through the anchor, cell pair by cell pair.
@@ -222,6 +266,7 @@ class TestKernel:
         counts = [count_onan_through(s, p) for p in range(s.n_points)]
         assert all(c.complete for c in counts)
         assert [c.count for c in counts] == [reference_count(s, p, join) for p in range(s.n_points)]
+        assert [tuple(c) for c in counts] == [pair_scan(s, p) for p in range(s.n_points)]
         # each configuration has six points, so it is counted at each of them
         assert sum(c.count for c in counts) == total
         assert total % 6 == 0
@@ -239,3 +284,66 @@ class TestKernel:
         assert tuple(count_onan_through(u, 0, budget=100)) == (0, False, 0)
         assert tuple(count_onan_through(u, 0, budget=50_000)) == (4787, False, 49784)
         assert tuple(count_onan_through(u, 0)) == (287496, True, 2942352)
+        assert find_onan(u) == cfg  # the first anchor already has configurations
+
+    def test_q8_counts_match_pair_scan(self, unitals, closures):
+        ideal = range(504, 513)
+        for (name, par), cl in closures.items():
+            for p in (*ideal, 0, 250):
+                assert tuple(count_onan_through(cl, p)) == pair_scan(cl, p), (name, par, p)
+        for name, u in unitals.items():
+            for p in (0, 1, 503):
+                assert tuple(count_onan_through(u, p)) == pair_scan(u, p), (name, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_subsets_match_pair_scan(self, q4_structures, data):
+        full = q4_structures[data.draw(st.sampled_from(sorted(q4_structures)))]
+        size = len(full.blocks)
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        s = sub_structure(full, keep)
+        anchors = data.draw(
+            st.lists(st.integers(0, s.n_points - 1), min_size=1, max_size=4, unique=True)
+        )
+        for a in anchors:
+            assert tuple(count_onan_through(s, a)) == pair_scan(s, a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_find_skips_empty_anchors(self, q4_structures, data):
+        full = q4_structures["flat"]
+        size = len(full.blocks)
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        s = sub_structure(full, keep)
+        assert find_onan(s) == unfiltered_find(s)
+
+    def test_find_past_empty_anchors(self, q4_structures):
+        full = q4_structures["flat"]
+        # no block through points 0-2, so the first anchors carry no configuration
+        s = sub_structure(full, ~np.isin(full.block_array, [0, 1, 2]).any(axis=1))
+        assert [count_onan_through(s, p).count for p in range(3)] == [0, 0, 0]
+        cfg = find_onan(s)
+        assert cfg is not None and min(cfg.points) > 2
+        assert cfg == unfiltered_find(s)
+
+    def test_projective_lines_at_the_word_size(self, monkeypatch):
+        """PG(6, 2) has 63 lines through a point, which fit one 64-bit mask;
+        PG(7, 2) has 127, which take the pair scan.
+
+        Any two lines through a point span a plane, and the 7 quadrilaterals
+        of a Fano plane put 6 configurations through each of its points, so
+        count = 6 * (planes through the point) = r(r - 1), which is also
+        every quadruple checked.
+        """
+        pg6, pg7 = projective_lines(6), projective_lines(7)
+        for s, r in ((pg6, 63), (pg7, 127)):
+            assert {len(b) for b in s.point_blocks} == {r}
+            want = (r * (r - 1), True, r * (r - 1))
+            for p in (0, s.n_points // 2, s.n_points - 1):
+                assert pair_scan(s, p) == want
+        with monkeypatch.context() as m:
+            m.setattr(onan, "_anchored_scan", None)
+            assert tuple(count_onan_through(pg6, 0)) == (3906, True, 3906)
+        with monkeypatch.context() as m:
+            m.setattr(onan, "_mask_count", None)
+            assert tuple(count_onan_through(pg7, 0)) == (16002, True, 16002)
