@@ -135,8 +135,10 @@ class _Incidence:
     every entry is a point of its own block; ``block_sizes`` has the
     lengths.  Two points lie on at most one block, so the pair table is
     enough to find the image of any block under a point map
-    (``block_image``).  The tuple list ``blocks`` and ``point_blocks`` are
-    derived from the arrays when asked for.
+    (``block_image``).  The tuple list ``blocks``, the table
+    ``point_block_table`` of the blocks through each point and its
+    per-point views ``point_blocks`` are derived from the arrays when
+    asked for.
     """
 
     def __init__(self, n_points: int, block_array: np.ndarray, block_sizes: np.ndarray):
@@ -163,13 +165,30 @@ class _Incidence:
         return np.bincount(self._live(), minlength=self.n_points)
 
     @cached_property
-    def point_blocks(self) -> list[np.ndarray]:
-        """Per point, the ids of the blocks through it in ascending order."""
+    def point_block_table(self) -> np.ndarray:
+        """The blocks through each point as an (r x n) int32 table.
+
+        Column p lists the ids of the blocks through p in ascending order,
+        padded to the largest degree r with the sink id ``len(block_sizes)``.
+        """
+        n, n_blocks = self.n_points, len(self.block_sizes)
         live = self._live()
-        bids = np.repeat(np.arange(len(self.block_sizes), dtype=np.int32), self.block_sizes)
-        # a stable sort keeps the block ids of each point in ascending order
-        order = np.argsort(live, kind="stable")
-        return np.split(bids[order], np.cumsum(np.bincount(live, minlength=self.n_points))[:-1])
+        bids = np.repeat(np.arange(n_blocks, dtype=np.int32), self.block_sizes)
+        # a stable sort keeps the block ids of each point in ascending order; on
+        # int16 keys numpy sorts by radix, about five times faster than on int32
+        order = np.argsort(live.astype(np.int16) if n < 2**15 else live, kind="stable")
+        degrees = np.bincount(live, minlength=n)
+        table = np.full((degrees.max(initial=0), n), n_blocks, dtype=np.int32)
+        table.T[np.arange(len(table)) < degrees[:, None]] = bids[order]
+        return table
+
+    @cached_property
+    def point_blocks(self) -> list[np.ndarray]:
+        """Per point, the ids of the blocks through it in ascending order
+        (views into ``point_block_table``)."""
+        columns = self.point_block_table.T
+        degrees = (columns < len(self.block_sizes)).sum(axis=1).tolist()
+        return [column[:d] for column, d in zip(columns, degrees)]
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every point pair of every block, in one vectorised pass.
@@ -535,6 +554,29 @@ class ClosedUnital(_Incidence):
         infinity = np.arange(n, n_points, dtype=np.int32)
         sizes = np.append(sizes, n_points - n).astype(np.int32)
         super().__init__(n_points, np.vstack([arr, infinity]), sizes)
+
+    @cached_property
+    def pair_block(self) -> np.ndarray:
+        """The affine pair table extended to the ideal points.
+
+        The closure keeps the affine block ids, so its table is the affine
+        one plus (point, ideal point of a class) -> the short block of that
+        class through the point, and two ideal points -> the block at
+        infinity.  Each class covers every affine point once, so only the
+        affine table can hold a doubly covered pair, and it raises the
+        error the generic build (``_Incidence.pair_block``) would.
+        """
+        aff, n, q = self.affine, self.affine.n_points, self.affine.group.field.q
+        dtype = np.int16 if len(self.block_sizes) < 2**15 else np.int32
+        table = np.full((self.n_points, self.n_points), -1, dtype=dtype)
+        table[:n, :n] = aff.pair_block
+        cls = self.parallelism.block_class[:-1]
+        members = np.flatnonzero(cls >= 0)
+        points, ideal = aff.block_array[members, :q], (n + cls[members])[:, None]
+        table[points, ideal] = table[ideal, points] = members[:, None]
+        table[n:, n:] = self.infinity_block_id
+        np.fill_diagonal(table[n:, n:], -1)
+        return table
 
     @property
     def ideal_points(self) -> tuple[int, ...]:

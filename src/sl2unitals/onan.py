@@ -34,9 +34,13 @@ configuration, so with c that count
 
     count(a) = sum over d != a, over pairs {L3, L4} through d, of C(c, 2).
 
-One popcount per block pair through each point gives it.  The pair scan
-still answers budgeted counts, witnesses and anchors with more than 64
-blocks, and it defines the order in which budgets admit block pairs.
+One popcount per block pair through each point gives it.  The blocks
+through each point come from the structure's cached
+``point_block_table``, so a count builds only the masks of its anchor.
+Existence on an affine unital is this count at the identity being
+nonzero.  The pair scan still answers budgeted counts, witnesses and
+anchors with more than 64 blocks, and it defines the order in which
+budgets admit block pairs.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def _anchored_scan(
             d = cells[f2][shared[f2]][0]
             six = (anchor, d, xs[p, r1, 0], ys[p, 0, c1], xs[p, r2, 0], ys[p, 0, c2])
             cfg = OnanConfig(
-                blocks=tuple(structure.blocks[b] for b in four),
+                blocks=tuple(tuple(arr[b, : sizes[b]].tolist()) for b in four),
                 points=frozenset(int(v) for v in six),
             )
             return 1, False, int(checked[lo + p]), cfg
@@ -155,7 +159,7 @@ def _mask_count(structure: _Incidence, anchor: int) -> int:
 
     Needs at most 64 blocks through the anchor, one bit of a uint64 each.
     """
-    n, n_blocks = structure.n_points, len(structure.block_sizes)
+    n_blocks = len(structure.block_sizes)
     through = structure.point_blocks[anchor]
     # bit[p] = 1 << beta(p); 0 at the anchor and at points not joined to it (pair_block -1)
     rank_bit = np.zeros(n_blocks + 1, dtype=np.uint64)
@@ -167,14 +171,16 @@ def _mask_count(structure: _Incidence, anchor: int) -> int:
     # column d: S(L) without beta(d) for the blocks L through d, padded with the sink.  A
     # block through the anchor has the one bit beta(d) at each other point d of it, which
     # leaves it 0, and the anchor's own column holds disjoint single bits: neither counts.
-    degrees = np.fromiter(map(len, structure.point_blocks), np.intp, n)
-    table = np.full((degrees.max(initial=0), n), n_blocks)
-    table.T[np.arange(len(table)) < degrees[:, None]] = np.concatenate(structure.point_blocks)
-    table = masks[table] & ~bit
+    table = masks[structure.point_block_table] & ~bit
+    # c is at most the width of a block, so with blocks of at most 16 points c(c - 1) <= 240
+    # stays exact in popcount's uint8
+    wide = structure.block_array.shape[1] > 16
     # the pairs (i, i + k) of blocks through each point, one offset k at a time
     twice = 0  # sum of c(c - 1) = 2 C(c, 2)
     for k in range(1, len(table)):
-        c = np.bitwise_count(table[:-k] & table[k:]).astype(np.uint16)
+        c = np.bitwise_count(table[:-k] & table[k:])
+        if wide:
+            c = c.astype(np.uint16)
         twice += int((c * (c - 1)).sum(dtype=np.uint64))
     return twice // 2
 
@@ -211,12 +217,16 @@ def find_onan(structure: _Incidence, anchor: int | None = None) -> OnanConfig | 
 def contains_onan(structure: _Incidence, exhaustive: bool = False) -> bool:
     """Existence of an O'Nan configuration.
 
-    For an affine unital the scan anchors at the identity unless
+    For an affine unital the answer is anchored at the identity unless
     ``exhaustive`` is set: translations are automorphisms acting
     transitively on points, so some configuration exists iff one passes
-    through the identity.  Other structures are scanned over all points.
+    through the identity.  It is the mask count there, or the witness scan
+    with more than 64 blocks through the identity.  Other structures are
+    scanned over all points.
     """
     if isinstance(structure, AffineUnital) and not exhaustive:
+        if len(structure.point_blocks[0]) <= 64:
+            return count_onan_through(structure, 0).count > 0
         return find_onan(structure, anchor=0) is not None
     return find_onan(structure, anchor=None) is not None
 

@@ -13,6 +13,7 @@ from sl2unitals.design import (
     HatSystem,
     PartitionError,
     UnitalError,
+    _Incidence,
     build_affine_unital,
     check_P,
     check_Q,
@@ -261,6 +262,26 @@ def reference_point_blocks(n, blocks):
     return out
 
 
+def assert_point_blocks(structure, blocks):
+    """``point_block_table`` and ``point_blocks`` against the reference lists:
+    ascending ids, sink padding, int32."""
+    want = reference_point_blocks(structure.n_points, blocks)
+    sink = len(structure.block_sizes)
+    depth = max(map(len, want), default=0)
+    padded = [pb + [sink] * (depth - len(pb)) for pb in want]
+    table = structure.point_block_table
+    assert table.dtype == np.int32
+    assert table.shape == (depth, structure.n_points)
+    assert table.T.tolist() == padded
+    assert all(pb.dtype == np.int32 for pb in structure.point_blocks)
+    assert [pb.tolist() for pb in structure.point_blocks] == want
+
+
+def assert_same_table(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 class TestIncidenceOracle:
     """The array-built structures against the tuple-level definition."""
 
@@ -278,8 +299,7 @@ class TestIncidenceOracle:
     def assert_structure(self, structure, blocks):
         assert structure.blocks == blocks
         assert structure.block_sizes.tolist() == [len(b) for b in blocks]
-        got = [pb.tolist() for pb in structure.point_blocks]
-        assert got == reference_point_blocks(structure.n_points, blocks)
+        assert_point_blocks(structure, blocks)
 
     def test_affine(self, affine):
         q = affine.group.field.q
@@ -317,9 +337,22 @@ class TestIncidenceOracle:
             infinity = tuple(range(n, n + q + 1))
             closed_blocks = [b + (ideal[i],) if i in ideal else b for i, b in enumerate(blocks)]
             self.assert_structure(closed, closed_blocks + [infinity])
+            assert_same_table(closed.pair_block, _Incidence.pair_block.func(closed))
             assert closed.ideal_points == infinity
             assert closed.infinity_block_id == len(blocks)
             assert closed.block_array[-1].tolist() == list(infinity)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_point_blocks_of_block_subsets(self, q4_unital, data):
+        """Some blocks of a q = 4 structure, so that the points have
+        different degrees and some lie on no block."""
+        build = data.draw(st.sampled_from([None, flat_parallelism, natural_parallelism]))
+        full = q4_unital if build is None else close(q4_unital, build(q4_unital))
+        size = len(full.block_sizes)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        sub = _Incidence(full.n_points, full.block_array[keep], full.block_sizes[keep])
+        assert_point_blocks(sub, [b for b, kept in zip(full.blocks, keep) if kept])
 
 
 class TestVerification:
@@ -420,6 +453,26 @@ class TestClosure:
         i1, i2 = c.ideal_points[0], c.ideal_points[1]
         joined = [b for b in c.blocks if i1 in b and i2 in b]
         assert joined == [c.blocks[c.infinity_block_id]]
+
+    def test_pair_table_extends_the_affine_one(self, closures):
+        """The closure's table against the generic build from its blocks
+        (the q = 2 and q = 4 closures: ``TestIncidenceOracle.test_closures``)."""
+        for c in closures.values():
+            assert_same_table(c.pair_block, _Incidence.pair_block.func(c))
+
+    def test_pair_table_rejects_a_doubly_covered_pair(self, q4_unital):
+        group = q4_unital.group
+        sylow = group.sylow_subgroups[0]
+        # a base holding a Sylow subgroup: its pairs there lie on a short block too
+        base = tuple(sorted(sylow | {min(set(range(group.order)) - sylow)}))
+        u = AffineUnital(HatSystem(group, q4_unital.system.subgroup, (base,)))
+        c = close(u, flat_parallelism(u))
+        with pytest.raises(UnitalError) as generic:
+            _Incidence.pair_block.func(c)
+        assert str(generic.value).startswith("points ")
+        with pytest.raises(UnitalError) as extended:
+            c.pair_block
+        assert str(extended.value) == str(generic.value)
 
     def test_invalid_parallelism_rejected(self, unitals, parallelisms):
         from dataclasses import replace

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2unitals import onan
-from sl2unitals.design import _Incidence, close, flat_parallelism, natural_parallelism
+from sl2unitals import catalog, onan
+from sl2unitals.design import (
+    AffineUnital,
+    _Incidence,
+    build_affine_unital,
+    close,
+    flat_parallelism,
+    natural_parallelism,
+)
 from sl2unitals.morphisms import UnitalMap, point_perm, stabilizer_of_identity
 from sl2unitals.onan import (
     OnanConfig,
@@ -158,6 +165,43 @@ class TestExistence:
     def test_closure_inherits_configurations(self, closures):
         assert contains_onan(closures[("wu", "natural")]) is True
 
+    def test_count_answers_as_the_witness_scan(self, unitals):
+        from sl2unitals.hatsearch import SearchConfig, search
+        from sl2unitals.sl2q import sl2_context
+
+        torus = sl2_context(4).default_torus()
+        q4 = [build_affine_unital(s) for s in search(SearchConfig(q=4, torus_params=torus)).systems]
+        assert q4
+        for u in [*unitals.values(), *q4]:
+            assert contains_onan(u) is (find_onan(u, anchor=0) is not None)
+
+    def test_more_than_64_blocks_take_the_witness_scan(self, monkeypatch):
+        """PG(6, 2) and PG(7, 2) lines posing as affine unitals: 63 lines
+        through the identity take the count, 127 the witness scan."""
+        pg6, pg7 = LinesAsAffine(projective_lines(6)), LinesAsAffine(projective_lines(7))
+        with monkeypatch.context() as m:
+            m.setattr(onan, "_anchored_scan", None)
+            assert contains_onan(pg6) is True
+        scan, witness_asked = onan._anchored_scan, []
+
+        def spy(*args, want_witness=False, **kwargs):
+            witness_asked.append(want_witness)
+            return scan(*args, want_witness=want_witness, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(onan, "_mask_count", None)
+            m.setattr(onan, "_anchored_scan", spy)
+            assert contains_onan(pg7) is True
+        assert witness_asked == [True]
+
+    def test_fresh_structure_keeps_no_tuple_view(self, sl2):
+        u = build_affine_unital(catalog.load("wu", sl2))
+        assert contains_onan(u) is True
+        assert count_onan_through(u, 0).count > 0
+        cfg = find_onan(u, anchor=0)
+        assert "blocks" not in u.__dict__
+        assert verify_config(u, cfg)
+
 
 class TestCounting:
     def test_counts_constant_on_translation_orbit(self, unitals):
@@ -227,6 +271,23 @@ def projective_lines(dim):
     pairs = ((x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1))
     lines = sorted({tuple(sorted((x - 1, y - 1, (x ^ y) - 1))) for x, y in pairs})
     return _Incidence(n, np.array(lines, dtype=np.int32), np.full(len(lines), 3, dtype=np.int32))
+
+
+class LinesAsAffine(AffineUnital):
+    """The blocks of an incidence structure under the affine unital type."""
+
+    def __init__(self, structure):
+        _Incidence.__init__(self, structure.n_points, structure.block_array, structure.block_sizes)
+
+
+def projective_plane(p):
+    """PG(2, p) for a prime p: points and lines the normalised nonzero vectors
+    of GF(p)^3, the point x on the line l when x . l = 0."""
+    vectors = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)]
+    vectors = np.array(vectors + [(0, 0, 1)])
+    on = (vectors @ vectors.T) % p == 0
+    lines = np.array([np.flatnonzero(row) for row in on], dtype=np.int32)
+    return _Incidence(len(vectors), lines, np.full(len(lines), p + 1, dtype=np.int32))
 
 
 def reference_count(structure, anchor, join):
@@ -347,3 +408,21 @@ class TestKernel:
         with monkeypatch.context() as m:
             m.setattr(onan, "_mask_count", None)
             assert tuple(count_onan_through(pg7, 0)) == (16002, True, 16002)
+
+    def test_projective_plane_with_wide_lines(self, monkeypatch):
+        """PG(2, 17): lines of 18 points, so c reaches 17 and c(c - 1) = 272
+        no longer fits popcount's uint8.
+
+        Four lines no three of which are concurrent form a configuration,
+        so a point of PG(2, p) lies on (p^2 + p) p^2 (p - 1)^2 / 4 of them.
+        """
+        p = 17
+        plane = projective_plane(p)
+        assert {len(b) for b in plane.point_blocks} == {p + 1}
+        want = (p * p + p) * p * p * (p - 1) ** 2 // 4
+        at_0 = pair_scan(plane, 0)
+        assert at_0[:2] == (want, True)
+        with monkeypatch.context() as m:
+            m.setattr(onan, "_anchored_scan", None)
+            for a in (0, 150, plane.n_points - 1):
+                assert tuple(count_onan_through(plane, a)) == at_0
