@@ -119,9 +119,10 @@ def cmd_aut(args, out: Output) -> int:
     from .morphisms import stabilizer_of_identity
 
     unital, _ = _build(args.source, args.q, args.modulus)
+    group, subgroup = unital.group, unital.system.subgroup
     maps, desc = stabilizer_of_identity(unital)
-    full = len(maps) * unital.group.order
-    bound = len(unital.group.aut_stabilizer(unital.system.subgroup)) * unital.group.order
+    full = len(maps) * group.order
+    bound = len(group.aut_transporter(subgroup, subgroup)) * group.order
     index = bound // full if full else 0
     out.say(
         f"stabilizer {len(maps)} ({desc.label}), full {full}, index {index} in the sharp bound"

@@ -246,14 +246,15 @@ class _Incidence:
         there.  Two points lie on at most one block, so the image can only
         be the block joining the images of the first two points; it is that
         block when the images of the other points lie on it too and the
-        sizes agree.
+        sizes agree.  A (k x n) stack of point maps gives a (k x len(ids))
+        answer, one row per map.
         """
         target = self if target is None else target
         ids = slice(None) if ids is None else np.asarray(ids, dtype=np.intp)
-        images = np.asarray(perm)[self.block_array[ids]]
-        hits = target.pair_block[images[:, :1], images[:, 1:]]
-        bid = hits[:, 0]
-        ok = (hits == bid[:, None]).all(axis=1) & (bid >= 0)
+        images = np.take(perm, self.block_array[ids], axis=-1)
+        hits = target.pair_block[images[..., :1], images[..., 1:]]
+        bid = hits[..., 0]
+        ok = (hits == bid[..., None]).all(axis=-1) & (bid >= 0)
         # where bid is -1 the size read is the last block's, but ok is False
         ok &= target.block_sizes[bid] == self.block_sizes[ids]
         return np.where(ok, bid, -1)
@@ -433,13 +434,16 @@ class Parallelism:
             out[list(cl)] = ci
         return out
 
-    def class_image(self, image: np.ndarray) -> np.ndarray | None:
-        """Per class, the class into which the block map ``image`` (a block
-        id per block id) sends all of its blocks; None if some class is not
-        sent into a single class."""
-        members = np.nonzero(self.block_class[:-1] >= 0)[0]
+    def class_image(
+        self, perm: np.ndarray, target: Parallelism | None = None
+    ) -> np.ndarray | None:
+        """Per class, the class of ``target`` (default: this parallelism)
+        into which the point map ``perm`` sends all of its blocks; None if
+        some class is not sent into a single class of target."""
+        target = self if target is None else target
+        members = np.flatnonzero(self.block_class[:-1] >= 0)
         src = self.block_class[members]
-        dst = self.block_class[image[members]]
+        dst = target.block_class[self.unital.block_image(perm, members, target.unital)]
         out = np.full(len(self.classes), -1, dtype=np.int32)
         out[src] = dst
         if (out < 0).any() or (out[src] != dst).any():
@@ -461,7 +465,7 @@ class Parallelism:
         """
         u = self.unital
         return all(
-            self.class_image(u.block_image(u.group.cayley[:, h])) is not None
+            self.class_image(u.group.cayley[:, h]) is not None
             for h in u.group.generators
         )
 
@@ -493,7 +497,8 @@ def parallelism_witness(unital: AffineUnital, par: Parallelism) -> str | None:
 
 def _parallelism(unital: AffineUnital, name: str, label: np.ndarray) -> Parallelism:
     """The short blocks grouped by ``label`` (a Sylow index per short block)."""
-    labels = np.unique(label)
+    # np.unique would import numpy.ma on its first call in a process
+    labels = np.flatnonzero(np.bincount(label, minlength=unital.group.field.q + 1))
     short = unital.short_ids
     classes = tuple(frozenset(short[label == t].tolist()) for t in labels)
     return Parallelism(unital, name, classes, tuple(labels.tolist()))

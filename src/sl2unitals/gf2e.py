@@ -167,8 +167,3 @@ class GF2e:
     def mul_table(self) -> np.ndarray:
         """The q x q multiplication table (read-only view)."""
         return self._mul
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        """Table of inverses, index 0 unused (read-only view)."""
-        return self._inv

@@ -7,9 +7,12 @@ target.  Right translations are always automorphisms, so block-set
 questions reduce to the action of alpha on the blocks through the
 identity; the full-block check remains available as an oracle.
 
-Every block question goes through ``block_image`` of the incidence
-structures in :mod:`design`: the ids of the images of a set of blocks
-under a point map, found in the pair table.
+Stabilizers and isomorphisms take their candidates alpha as rows of
+``SL2.aut_table``: the transporter of the subgroups, then one stacked
+``block_image`` call (of the incidence structures in :mod:`design`: the
+ids of the images of a set of blocks under each point map, found in the
+pair table) over all candidate rows at once.  Parallelism questions go
+through ``Parallelism.class_image``.
 """
 
 from __future__ import annotations
@@ -29,11 +32,6 @@ class UnitalMap:
     alpha: AutMap
     translator: int  # element index of h in rho_h
 
-    def is_identity(self, group: SL2) -> bool:
-        return self.translator == 0 and np.array_equal(
-            group.aut_perm(self.alpha), np.arange(group.order)
-        )
-
 
 def point_perm(group: SL2, psi: UnitalMap) -> np.ndarray:
     """The map as a permutation of element indices."""
@@ -47,13 +45,15 @@ def compose_maps(group: SL2, a: UnitalMap, b: UnitalMap) -> UnitalMap:
     return UnitalMap(alpha, int(h))
 
 
-def _maps_identity_blocks(
-    unital: AffineUnital, alpha: AutMap, target: AffineUnital | None = None
-) -> bool:
-    """Whether alpha sends the blocks through 1 onto blocks of ``target``
-    (default: the unital itself); alpha fixes 1, so these pass through 1."""
-    perm = unital.group.aut_perm(alpha)
-    return bool((unital.block_image(perm, unital.blocks_through_identity, target) >= 0).all())
+def _iso_rows(u1: AffineUnital, u2: AffineUnital) -> np.ndarray:
+    """The rows of ``aut_table`` whose automorphisms induce isomorphisms
+    u1 -> u2: those carrying S1 onto S2 (the transporter) and the blocks
+    of u1 through 1 onto blocks of u2, found by one stacked
+    ``block_image`` over the transporter's rows."""
+    group = u1.group
+    rows = group.aut_transporter(u1.system.subgroup, u2.system.subgroup)
+    images = u1.block_image(group.aut_table[rows], u1.blocks_through_identity, u2)
+    return rows[(images >= 0).all(axis=1)]
 
 
 def is_automorphism(unital: AffineUnital, psi: UnitalMap, full: bool = False) -> bool:
@@ -64,9 +64,10 @@ def is_automorphism(unital: AffineUnital, psi: UnitalMap, full: bool = False) ->
     preserves the block set iff alpha maps identity blocks to identity
     blocks.  ``full=True`` checks the image of every block instead.
     """
-    if not full:
-        return _maps_identity_blocks(unital, psi.alpha)
-    return bool((unital.block_image(point_perm(unital.group, psi)) >= 0).all())
+    if full:
+        return bool((unital.block_image(point_perm(unital.group, psi)) >= 0).all())
+    perm = unital.group.aut_perm(psi.alpha)
+    return bool((unital.block_image(perm, unital.blocks_through_identity) >= 0).all())
 
 
 def stabilizer_of_identity(unital: AffineUnital) -> tuple[tuple[AutMap, ...], "GroupDescription"]:
@@ -75,8 +76,7 @@ def stabilizer_of_identity(unital: AffineUnital) -> tuple[tuple[AutMap, ...], "G
     if cached is not None:
         return cached
     group = unital.group
-    candidates = group.aut_stabilizer(unital.system.subgroup)
-    maps = tuple(m for m in candidates if _maps_identity_blocks(unital, m))
+    maps = tuple(group.all_aut_maps[i] for i in _iso_rows(unital, unital))
     desc = describe_aut_group(group, maps)
     unital._stabilizer_cache = (maps, desc)
     return maps, desc
@@ -111,17 +111,18 @@ def describe_aut_group(group: SL2, maps: tuple[AutMap, ...]) -> GroupDescription
     centralises), which covers every group occurring in this setting.
     Anything else reports "order N, unlabeled".
     """
-    perms = [group.aut_perm(m) for m in maps]
-    keys = {p.tobytes(): i for i, p in enumerate(perms)}
-    n = len(perms)
-    if len(keys) != n:
+    rows = np.array([group.aut_row(m) for m in maps], dtype=np.intp)
+    n = len(rows)
+    if len(set(rows.tolist())) != n:
         raise ValueError("duplicate maps passed to describe_aut_group")
-    mult = np.zeros((n, n), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, r in enumerate(perms):
-            # apply i then j
-            mult[i, j] = keys[r[p].tobytes()]
-    ident = next(i for i, p in enumerate(perms) if np.array_equal(p, np.arange(group.order)))
+    # an automorphism is fixed by its images of the generators, so one
+    # gather gives the key of every product: composed[j, i] is "apply i, then j"
+    perms, gens = group.aut_table[rows], list(group.generators)
+    radix = group.order ** np.arange(len(gens), dtype=np.int64)
+    keys = {key: i for i, key in enumerate((perms[:, gens] @ radix).tolist())}
+    composed = perms[:, perms[:, gens]] @ radix
+    mult = np.array([[keys[key] for key in row] for row in composed.T.tolist()])
+    ident = rows.tolist().index(0)
 
     def elt_order(i: int) -> int:
         k, x = 1, i
@@ -137,12 +138,7 @@ def describe_aut_group(group: SL2, maps: tuple[AutMap, ...]) -> GroupDescription
     cyclic = n in orders or n == 1
     abelian = bool(np.array_equal(mult, mult.T))
 
-    inv = np.zeros(n, dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            if mult[i, j] == ident:
-                inv[i] = j
-                break
+    inv = (mult == ident).argmax(axis=1)
 
     def cyc(i: int) -> frozenset[int]:
         out = {ident}
@@ -205,29 +201,9 @@ def describe_aut_group(group: SL2, maps: tuple[AutMap, ...]) -> GroupDescription
 # ----------------------------------------------------------------------
 # Isomorphism of affine unitals
 # ----------------------------------------------------------------------
-def _transporter_maps(group: SL2, s1: frozenset[int], s2: frozenset[int]):
-    """All automorphisms alpha with S1 * alpha = S2."""
-    cache = getattr(group, "_transporter_cache", None)
-    if cache is None:
-        cache = group._transporter_cache = {}
-    key = (s1, s2)
-    if key not in cache:
-        out = []
-        for m in group.all_aut_maps:
-            perm = group.aut_perm(m)
-            if all(int(perm[s]) in s2 for s in s1):
-                out.append(m)
-        cache[key] = tuple(out)
-    return cache[key]
-
-
 def _iso_alphas(u1: AffineUnital, u2: AffineUnital) -> list[AutMap]:
     """All alpha in Aut(SL(2,q)) inducing isomorphisms u1 -> u2."""
-    return [
-        m
-        for m in _transporter_maps(u1.group, u1.system.subgroup, u2.system.subgroup)
-        if _maps_identity_blocks(u1, m, u2)
-    ]
+    return [u1.group.all_aut_maps[i] for i in _iso_rows(u1, u2)]
 
 
 def are_isomorphic_affine(u1: AffineUnital, u2: AffineUnital) -> UnitalMap | None:
@@ -252,16 +228,14 @@ def are_isomorphic_affine(u1: AffineUnital, u2: AffineUnital) -> UnitalMap | Non
 # ----------------------------------------------------------------------
 def maps_parallelism(psi: UnitalMap, pi1: Parallelism, pi2: Parallelism) -> bool:
     """Whether psi carries each class of pi1 onto a class of pi2."""
-    u1 = pi1.unital
-    image = u1.block_image(point_perm(u1.group, psi), target=pi2.unital)
-    targets = set(pi2.classes)
-    return all(frozenset(image[list(cl)].tolist()) in targets for cl in pi1.classes)
+    return pi1.class_image(point_perm(pi1.unital.group, psi), pi2) is not None
 
 
 def _is_classical_like(unital: AffineUnital) -> bool:
     """Stabilizer equal to the full subgroup stabilizer in Aut(SL(2,q))."""
     maps, _ = stabilizer_of_identity(unital)
-    return len(maps) == len(unital.group.aut_stabilizer(unital.system.subgroup))
+    subgroup = unital.system.subgroup
+    return len(maps) == len(unital.group.aut_transporter(subgroup, subgroup))
 
 
 def closures_isomorphic(
@@ -295,7 +269,7 @@ def closed_point_map(closed: ClosedUnital, psi: UnitalMap) -> np.ndarray | None:
     """
     aff = closed.affine
     perm = point_perm(aff.group, psi)
-    moved = closed.parallelism.class_image(aff.block_image(perm))
+    moved = closed.parallelism.class_image(perm)
     if moved is None:
         return None
     ext = np.zeros(closed.n_points, dtype=np.int32)

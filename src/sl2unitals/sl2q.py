@@ -10,7 +10,10 @@ integer indices.
 For even q the automorphisms of SL(2,q) are exactly the maps
 x -> phi^k(h^-1 x h): conjugation followed by an entrywise power of the
 Frobenius.  :class:`AutMap` fixes that application order (conjugate
-first, then Frobenius).
+first, then Frobenius).  All of them are held as one permutation table,
+``SL2.aut_table`` (row h*e + k for AutMap(elements[h], k), the order of
+``all_aut_maps``), built on first use; set-stabilizer and transporter
+questions are one boolean gather over it (``aut_transporter``).
 """
 
 from __future__ import annotations
@@ -84,8 +87,6 @@ class SL2:
         self.inverse_index = packed_index[(d << 3 * e) | (b << 2 * e) | (c << e) | a]
         F = field._frob.astype(np.int32)
         self.frob_index = packed_index[(F[a] << 3 * e) | (F[b] << 2 * e) | (F[c] << e) | F[d]]
-
-        self._aut_perm_cache: dict[AutMap, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Element-level operations
@@ -178,13 +179,6 @@ class SL2:
             raise RuntimeError(f"expected {q+1} Sylow subgroups, found {len(subs)}")
         return tuple(subs)
 
-    def sylow_of_point(self, i: int) -> int:
-        """Index (into sylow_subgroups) of the Sylow subgroup containing i."""
-        for k, s in enumerate(self.sylow_subgroups):
-            if i in s:
-                return k
-        raise ValueError(f"element index {i} lies in no Sylow 2-subgroup")
-
     def default_torus(self) -> tuple[int, int]:
         """The first (d, t), d over the field and t over its nonzero
         elements, with X^2 + tX + d irreducible: (1, 1) at q = 8."""
@@ -224,18 +218,21 @@ class SL2:
         return AutMap(self.one, 0)
 
     def aut_perm(self, m: AutMap) -> np.ndarray:
-        """The automorphism as a permutation array on element indices."""
-        cached = self._aut_perm_cache.get(m)
-        if cached is not None:
-            return cached
+        """The automorphism as a permutation array on element indices.
+
+        Computed for this one map; ``aut_table`` holds all of them.
+        """
         h = self.index[m.conjugator]
         perm = self.cayley[self.cayley[self.inverse_index[h]], h]
         for _ in range(m.frob % self.field.e):
             perm = self.frob_index[perm]
         perm = np.ascontiguousarray(perm, dtype=np.int32)
         perm.setflags(write=False)
-        self._aut_perm_cache[m] = perm
         return perm
+
+    def aut_row(self, m: AutMap) -> int:
+        """The row of ``aut_table`` (and position in ``all_aut_maps``) of m."""
+        return self.index[m.conjugator] * self.field.e + m.frob % self.field.e
 
     def apply_aut(self, m: AutMap, x: Element) -> Element:
         return self.elements[self.aut_perm(m)[self.index[x]]]
@@ -260,32 +257,45 @@ class SL2:
         return AutMap(self.elements[h], (e - a.frob % e) % e)
 
     @cached_property
-    def all_aut_maps(self) -> tuple[AutMap, ...]:
-        """All q(q^2-1)*e automorphisms, distinct as maps.
+    def aut_table(self) -> np.ndarray:
+        """All q(q^2-1)*e automorphisms as one read-only (|Aut| x n) int16 table.
 
-        For even q the centre is trivial, so distinct (conjugator, frob)
-        pairs give distinct maps; this is verified at build time.
+        Row h*e + k is the permutation of AutMap(elements[h], k): one gather
+        conjugates by every h at once, then e - 1 gathers apply the
+        Frobenius.  For even q the centre is trivial, so the rows are
+        distinct maps; this is verified at build time on the images of
+        ``generators``, which fix an automorphism.
         """
-        maps = []
-        keys = set()
-        for h in range(self.order):
-            for k in range(self.field.e):
-                m = AutMap(self.elements[h], k)
-                key = self.aut_perm(m).tobytes()
-                if key in keys:
-                    raise RuntimeError("duplicate automorphism map; centre not trivial?")
-                keys.add(key)
-                maps.append(m)
-        return tuple(maps)
+        n, e = self.order, self.field.e
+        table = np.empty((n, e, n), dtype=np.int16)
+        table[:, 0] = self.cayley[self.cayley[self.inverse_index], np.arange(n)[:, None]]
+        for k in range(1, e):
+            table[:, k] = self.frob_index[table[:, k - 1]]
+        table = table.reshape(n * e, n)
+        if len(set(map(tuple, table[:, list(self.generators)].tolist()))) < n * e:
+            raise RuntimeError("duplicate automorphism map; centre not trivial?")
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def all_aut_maps(self) -> tuple[AutMap, ...]:
+        """All automorphisms in the row order of ``aut_table``, distinct as maps."""
+        self.aut_table  # builds the table and checks that its rows are distinct
+        return tuple(AutMap(x, k) for x in self.elements for k in range(self.field.e))
+
+    def aut_transporter(self, s1: frozenset[int], s2: frozenset[int]) -> np.ndarray:
+        """The rows of ``aut_table`` with s1 * alpha = s2, in ascending order.
+
+        Automorphisms are injective, so s1 * alpha lying inside s2 is
+        equality when the two sets have the same size.
+        """
+        inside = np.zeros(self.order, dtype=bool)
+        inside[list(s2)] = True
+        return np.flatnonzero(inside[self.aut_table[:, sorted(s1)]].all(axis=1))
 
     def aut_stabilizer(self, subgroup: frozenset[int]) -> tuple[AutMap, ...]:
         """All automorphisms mapping the subgroup onto itself setwise."""
-        out = []
-        for m in self.all_aut_maps:
-            perm = self.aut_perm(m)
-            if all(int(perm[s]) in subgroup for s in subgroup):
-                out.append(m)
-        return tuple(out)
+        return tuple(self.all_aut_maps[i] for i in self.aut_transporter(subgroup, subgroup))
 
 
 #: The largest supported q: the Cayley table of SL(2,32) takes 4.3 GB.

@@ -417,17 +417,30 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_import_only_what_they_run(tmp_path):
-    config = tmp_path / "search.json"
-    config.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -c`` in a new process that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, str(config), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", *argv], env=env, capture_output=True, text=True, check=True
     )
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    config = tmp_path / "search.json"
+    config.write_text(json.dumps({"q": 4, "torus": [1, 2]}))
+    proc = _fresh_python(_LOADED_AFTER, str(config), str(tmp_path))
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["verify"] == []
     assert "sl2unitals.hatsearch" in seen["search"]
     assert "concurrent.futures" not in seen["search"]  # one branch starts no pool
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process (tens of ms)
+    proc = _fresh_python(
+        "import sys; from sl2unitals.cli import main; main(['verify', 'wu']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,14 +1,20 @@
 """Automorphism groups, hat actions, isomorphism and closure transport."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from conftest import CATALOG_NAMES
+from test_catalog import relabelled
 
 from sl2unitals import catalog
-from sl2unitals.design import UnitalError, close, quotient_set
+from sl2unitals.design import UnitalError, build_affine_unital, close, quotient_set
 from sl2unitals.morphisms import (
+    GroupDescription,
     UnitalMap,
+    _iso_alphas,
+    _iso_rows,
     are_isomorphic_affine,
     closed_point_map,
     closures_isomorphic,
@@ -348,3 +354,105 @@ class TestTranslations:
     def test_trivial_subgroup_vacuous(self, sl2, closures):
         c = closures[("wu", "natural")]
         assert verify_translation(c, frozenset({0}), c.ideal_point_of_sylow(0))
+
+
+def reference_iso_alphas(u1, u2, perms) -> list[AutMap]:
+    """Independent oracle for ``_iso_alphas`` and ``stabilizer_of_identity``:
+    the per-map filter, S1 into S2 and then one ``block_image`` of the
+    blocks through 1 per map (``perms`` holds each map's ``aut_perm``)."""
+    s1, s2 = u1.system.subgroup, u2.system.subgroup
+    return [
+        m
+        for m, perm in perms.items()
+        if all(int(perm[s]) in s2 for s in s1)
+        and (u1.block_image(perm, u1.blocks_through_identity, u2) >= 0).all()
+    ]
+
+
+def reference_maps_parallelism(image, pi1, pi2) -> bool:
+    """Independent oracle for ``maps_parallelism``: under the block map
+    ``image`` (per block of pi1's unital, a block id of pi2's), the image
+    of each class of pi1, as a set of block ids, is a class of pi2."""
+    targets = set(pi2.classes)
+    return all(frozenset(image[list(cl)].tolist()) in targets for cl in pi1.classes)
+
+
+#: The stabilizers of the identity as the per-map construction described them.
+STABILIZER_GROUPS = {
+    "classical8": GroupDescription(
+        54, ((1, 1), (2, 9), (3, 8), (6, 18), (9, 18)), False, False, "C9:C6"
+    ),
+    "wu": GroupDescription(18, ((1, 1), (2, 3), (3, 8), (6, 6)), False, False, "C3:C6"),
+    "ou": GroupDescription(27, ((1, 1), (3, 8), (9, 18)), False, False, "C9:C3"),
+    "pu": GroupDescription(27, ((1, 1), (3, 8), (9, 18)), False, False, "C9:C3"),
+}
+
+
+class TestBatchOracles:
+    @pytest.fixture(scope="class")
+    def perms(self, sl2):
+        return {m: sl2.aut_perm(m) for m in sl2.all_aut_maps}
+
+    @pytest.fixture(scope="class")
+    def copies(self, sl2):
+        rng = random.Random(31)
+        return {
+            name: build_affine_unital(
+                relabelled(sl2, catalog.load(name), rng.randrange(1512), rng.choices(range(9), k=6))
+            )
+            for name in CATALOG_NAMES
+        }
+
+    def test_stacked_block_image_matches_per_row_calls(self, sl2, unitals, closures):
+        u, v = unitals["wu"], unitals["ou"]
+        rows = [0, *random.Random(30).sample(range(1512), 20), *_iso_rows(u, u)[:5]]
+        perms = sl2.aut_table[rows]
+        through = u.blocks_through_identity
+        for ids, target in ((None, None), (through, None), (through, v), ([5, 17, 3000], v)):
+            stacked = u.block_image(perms, ids, target)
+            assert np.array_equal(stacked, [u.block_image(p, ids, target) for p in perms])
+        assert stacked.shape == (len(rows), 3)
+        c = closures[("wu", "natural")]
+        ext = np.hstack([perms, np.broadcast_to(np.arange(504, c.n_points), (len(rows), 9))])
+        assert np.array_equal(c.block_image(ext), [c.block_image(p) for p in ext])
+
+    def test_stabilizers_match_the_per_map_filter(self, unitals, copies, perms):
+        for name in CATALOG_NAMES:
+            for u in (unitals[name], copies[name]):
+                maps, desc = stabilizer_of_identity(u)
+                assert list(maps) == reference_iso_alphas(u, u, perms)
+                assert desc == STABILIZER_GROUPS[name]
+
+    def test_iso_alphas_match_the_per_map_filter(self, unitals, copies, perms):
+        for a, b in product(CATALOG_NAMES, repeat=2):
+            want = reference_iso_alphas(unitals[a], unitals[b], perms)
+            assert _iso_alphas(unitals[a], unitals[b]) == want
+            assert (a == b) == bool(want)
+        for name in CATALOG_NAMES:
+            u, cu = unitals[name], copies[name]
+            for u1, u2 in ((u, cu), (cu, u)):
+                want = reference_iso_alphas(u1, u2, perms)
+                assert want and _iso_alphas(u1, u2) == want
+                assert are_isomorphic_affine(u1, u2) == UnitalMap(want[0], 0)
+
+    def test_maps_parallelism_matches_the_class_sets(self, sl2, unitals, parallelisms):
+        seen = set()
+        for n1, n2 in product(CATALOG_NAMES, repeat=2):
+            u1, u2 = unitals[n1], unitals[n2]
+            maps, _ = stabilizer_of_identity(u1)
+            for alpha in (*maps, *_iso_alphas(u1, u2)):
+                psi = UnitalMap(alpha, 0)
+                image = u1.block_image(point_perm(sl2, psi), target=u2)
+                for p1, p2 in product(("flat", "natural"), repeat=2):
+                    pi1, pi2 = parallelisms[(n1, p1)], parallelisms[(n2, p2)]
+                    got = maps_parallelism(psi, pi1, pi2)
+                    assert got == reference_maps_parallelism(image, pi1, pi2)
+                    seen.add(got)
+        assert seen == {True, False}
+
+    def test_no_state_left_on_the_group(self, sl2, unitals, parallelisms):
+        closures_isomorphic(
+            unitals["wu"], parallelisms[("wu", "flat")], unitals["ou"], parallelisms[("ou", "flat")]
+        )
+        assert not hasattr(sl2, "_transporter_cache")
+        assert not hasattr(sl2, "_aut_perm_cache")

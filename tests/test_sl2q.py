@@ -316,3 +316,83 @@ class TestStabilizer:
             a, b = rng.choice(stab), rng.choice(stab)
             assert sl8.aut_perm(sl8.compose_aut(a, b)).tobytes() in keys
             assert sl8.aut_perm(sl8.invert_aut(a)).tobytes() in keys
+
+
+def reference_aut_perms(group: SL2) -> np.ndarray:
+    """Independent oracle for ``aut_table``: the per-map build, conjugation
+    by h as cayley[cayley[inv[h]], h] and then k Frobenius steps, one map
+    at a time in (h, k) order."""
+    perms = []
+    for h in range(group.order):
+        perm = group.cayley[group.cayley[group.inverse_index[h]], h]
+        for _ in range(group.field.e):
+            perms.append(perm)
+            perm = group.frob_index[perm]
+    return np.array(perms)
+
+
+def reference_transporter(group: SL2, s1, s2) -> tuple[AutMap, ...]:
+    """Independent oracle for ``aut_transporter``: the per-map filter."""
+    return tuple(
+        m for m in group.all_aut_maps if all(int(group.aut_perm(m)[s]) in s2 for s in s1)
+    )
+
+
+def transported(group: SL2, row: int, s1) -> frozenset[int]:
+    return frozenset(group.aut_table[row, sorted(s1)].tolist())
+
+
+class TestAutTable:
+    @pytest.mark.parametrize("q", [2, 4, 8])
+    def test_rows_match_the_per_map_build(self, q):
+        group = sl2_context(q)
+        table, e = group.aut_table, group.field.e
+        assert table.dtype == np.int16 and not table.flags.writeable
+        assert np.array_equal(table, reference_aut_perms(group))
+        assert len({row.tobytes() for row in table}) == len(table)
+        for i, m in enumerate(group.all_aut_maps):
+            assert m == AutMap(group.elements[i // e], i % e)
+            assert group.aut_row(m) == i
+            if i % 7 == 0:
+                assert np.array_equal(group.aut_perm(m), table[i])
+
+    def test_aut_perm_does_not_build_the_table(self):
+        group = SL2(GF2e(3))
+        perm = group.aut_perm(AutMap(G, 1))
+        assert perm.dtype == np.int32 and not perm.flags.writeable
+        assert "aut_table" not in group.__dict__
+        assert np.array_equal(perm, group.aut_table[group.aut_row(AutMap(G, 1))])
+
+    def test_equal_rows_raise(self):
+        # the distinctness check reads the generators' images; with the
+        # identity as the only "generator" every row agrees there
+        group = SL2(GF2e(2))
+        group.__dict__["generators"] = (0,)
+        with pytest.raises(RuntimeError, match="duplicate automorphism map"):
+            group.aut_table
+
+    def test_transporter_matches_the_per_map_filter(self, sl8):
+        q4 = sl2_context(4)
+        f = q4.field
+        tori = [
+            q4.cyclic_subgroup(d, t)
+            for d in f.elements() for t in f.nonzero_elements() if f.discriminant_check(d, t)
+        ]
+        rng = random.Random(20)
+        C, T = sl8.cyclic_subgroup(1, 1), sl8.sylow_subgroups[3]
+        row = rng.randrange(len(sl8.aut_table))
+        cases = [(q4, s1, s2) for s1 in tori for s2 in tori]
+        cases += [(sl8, C, C), (sl8, T, T), (sl8, C, T), (sl8, T, sl8.sylow_subgroups[5])]
+        for s in (C, T):
+            image = transported(sl8, row, s)
+            assert row in sl8.aut_transporter(s, image)
+            cases += [(sl8, s, image), (sl8, image, image), (sl8, image, s)]
+        for group, s1, s2 in cases:
+            want = reference_transporter(group, s1, s2)
+            rows = group.aut_transporter(s1, s2)
+            assert tuple(group.all_aut_maps[i] for i in rows) == want
+            assert list(rows) == sorted(rows)
+            if s1 == s2:
+                assert group.aut_stabilizer(s1) == want
+        assert len(sl8.aut_stabilizer(C)) == 54
+        assert len(sl8.aut_transporter(C, T)) == 0
