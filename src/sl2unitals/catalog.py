@@ -174,8 +174,9 @@ def _build_system(group: SL2, name: str) -> HatSystem:
     return HatSystem(group, C, tuple(bases))
 
 
-def load(name: str, group: SL2 | None = None, validate: bool = True) -> HatSystem:
-    """Load a named system, cross-checking the packaged data file."""
+def load(name: str, group: SL2 | None = None) -> HatSystem:
+    """Load a named system, cross-checking the packaged data file and
+    conditions (Q) and (P)."""
     group = group or context()
     system = _build_system(group, name)
     data = importlib.resources.files("sl2unitals.data").joinpath(f"{name}.unital")
@@ -184,12 +185,11 @@ def load(name: str, group: SL2 | None = None, validate: bool = True) -> HatSyste
         raise UnitalDataError(
             f"packaged data for {name!r} disagrees with the defining relations"
         )
-    if validate:
-        for k, base in enumerate(system.bases):
-            if not check_Q(group, base):
-                raise UnitalDataError(f"{name}: condition (Q) fails for base {k}")
-        if not check_P(system):
-            raise UnitalDataError(f"{name}: condition (P) fails")
+    for k, base in enumerate(system.bases):
+        if not check_Q(group, base):
+            raise UnitalDataError(f"{name}: condition (Q) fails for base {k}")
+    if not check_P(system):
+        raise UnitalDataError(f"{name}: condition (P) fails")
     return system
 
 

@@ -15,7 +15,9 @@ sorted rows of an int array of element indices.
 
 Closures: a parallelism groups the short blocks into q+1 classes of
 pairwise disjoint blocks; adding one ideal point per class plus the block
-of all ideal points yields a 2-(q^3+1, q+1, 1) design.  The two built-in
+of all ideal points yields a 2-(q^3+1, q+1, 1) design.  A parallelism is
+one label array, the Sylow index of each short block's class, from which
+the class list and the class of each block are derived.  The two built-in
 parallelisms are "flat" (right cosets of a fixed Sylow subgroup form a
 class) and "natural" (left cosets, i.e. the right coset Tg joins the
 class of the conjugate of T by g).
@@ -413,14 +415,35 @@ def verify_affine_unital(unital: AffineUnital) -> Report:
 # ----------------------------------------------------------------------
 # Parallelisms
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Parallelism:
-    """Partition of the short blocks into q+1 classes, labelled by Sylow."""
+    """Partition of the short blocks into parallel classes, labelled by Sylow.
+
+    ``label`` is the only state: the Sylow index of each short block, in
+    ``unital.short_ids`` order, as a read-only int array.  The classes are
+    the labels that occur, in ascending order; ``labels``, ``block_class``,
+    ``classes`` and ``key`` are views derived from it.  Every short block
+    lies in exactly one class, so the checks left to
+    ``parallelism_witness`` are the class count, the class sizes and
+    disjointness.  (Arrays have no ``==``, so neither has this class;
+    compare ``key``.)
+    """
 
     unital: AffineUnital
     name: str
-    classes: tuple[frozenset[int], ...]
-    labels: tuple[int, ...]  # Sylow index per class
+    label: np.ndarray
+
+    def __post_init__(self):
+        label = np.array(self.label)
+        label.setflags(write=False)
+        object.__setattr__(self, "label", label)
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """The Sylow index of each class, ascending."""
+        # np.unique would import numpy.ma on its first call in a process
+        counts = np.bincount(self.label, minlength=self.unital.group.field.q + 1)
+        return tuple(np.flatnonzero(counts).tolist())
 
     @cached_property
     def block_class(self) -> np.ndarray:
@@ -430,9 +453,14 @@ class Parallelism:
         block) reads as no class as well.
         """
         out = np.full(len(self.unital.block_sizes) + 1, -1, dtype=np.int32)
-        for ci, cl in enumerate(self.classes):
-            out[list(cl)] = ci
+        out[self.unital.short_ids] = np.searchsorted(self.labels, self.label)
         return out
+
+    @cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The block ids of each class, in class order."""
+        short = self.unital.short_ids
+        return tuple(frozenset(short[self.label == t].tolist()) for t in self.labels)
 
     def class_image(
         self, perm: np.ndarray, target: Parallelism | None = None
@@ -441,10 +469,10 @@ class Parallelism:
         into which the point map ``perm`` sends all of its blocks; None if
         some class is not sent into a single class of target."""
         target = self if target is None else target
-        members = np.flatnonzero(self.block_class[:-1] >= 0)
-        src = self.block_class[members]
-        dst = target.block_class[self.unital.block_image(perm, members, target.unital)]
-        out = np.full(len(self.classes), -1, dtype=np.int32)
+        short = self.unital.short_ids
+        src = self.block_class[short]
+        dst = target.block_class[self.unital.block_image(perm, short, target.unital)]
+        out = np.full(len(self.labels), -1, dtype=np.int32)
         out[src] = dst
         if (out < 0).any() or (out[src] != dst).any():
             return None
@@ -471,42 +499,31 @@ class Parallelism:
 
 
 def parallelism_witness(unital: AffineUnital, par: Parallelism) -> str | None:
-    """None if valid, else a description of the first violation."""
-    q = unital.group.field.q
-    if len(par.classes) != q + 1:
-        return f"{len(par.classes)} classes, expected {q + 1}"
-    placed: set[int] = set()
-    for ci, cl in enumerate(par.classes):
-        if len(cl) != q * q - 1:
-            return f"class {ci} has {len(cl)} blocks, expected {q * q - 1}"
-        covered: set[int] = set()
-        for bid in cl:
-            if unital.block_sizes[bid] != q:
-                return f"class {ci} contains non-short block {bid}"
-            b = unital.block_array[bid, :q].tolist()
-            if covered.intersection(b):
-                return f"class {ci} has intersecting blocks"
-            covered.update(b)
-        if placed.intersection(cl):
-            return f"class {ci} repeats a block"
-        placed.update(cl)
-    if placed != set(unital.short_ids.tolist()):
-        return "classes do not cover all short blocks"
-    return None
+    """None if valid, else a description of the first violation.
 
-
-def _parallelism(unital: AffineUnital, name: str, label: np.ndarray) -> Parallelism:
-    """The short blocks grouped by ``label`` (a Sylow index per short block)."""
-    # np.unique would import numpy.ma on its first call in a process
-    labels = np.flatnonzero(np.bincount(label, minlength=unital.group.field.q + 1))
-    short = unital.short_ids
-    classes = tuple(frozenset(short[label == t].tolist()) for t in labels)
-    return Parallelism(unital, name, classes, tuple(labels.tolist()))
+    The class count comes first, then class by class its size and whether
+    two of its blocks meet: one bincount of the class sizes and one of the
+    (class, point) incidences of the short blocks.
+    """
+    q, n = unital.group.field.q, unital.n_points
+    if len(par.labels) != q + 1:
+        return f"{len(par.labels)} classes, expected {q + 1}"
+    cls = par.block_class[unital.short_ids]
+    sizes = np.bincount(cls, minlength=q + 1)
+    cells = cls[:, None] * n + unital.block_array[unital.short_ids, :q]
+    hits = np.bincount(cells.ravel(), minlength=(q + 1) * n).reshape(q + 1, n)
+    bad = np.flatnonzero((sizes != q * q - 1) | (hits > 1).any(axis=1))
+    if not len(bad):
+        return None
+    ci = int(bad[0])
+    if sizes[ci] != q * q - 1:
+        return f"class {ci} has {sizes[ci]} blocks, expected {q * q - 1}"
+    return f"class {ci} has intersecting blocks"
 
 
 def flat_parallelism(unital: AffineUnital) -> Parallelism:
     """Short blocks grouped as right cosets of each Sylow subgroup."""
-    return _parallelism(unital, "flat", unital.block_family[unital.short_ids] - 1)
+    return Parallelism(unital, "flat", unital.block_family[unital.short_ids] - 1)
 
 
 def natural_parallelism(unital: AffineUnital) -> Parallelism:
@@ -520,7 +537,7 @@ def natural_parallelism(unital: AffineUnital) -> Parallelism:
     t = np.array([min(syl - {0}) for syl in sylows])[unital.block_family[unital.short_ids] - 1]
     g = unital.block_g[unital.short_ids]
     conj = group.cayley[group.cayley[group.inverse_index[g], t], g]
-    return _parallelism(unital, "natural", sylow_of[conj])
+    return Parallelism(unital, "natural", sylow_of[conj])
 
 
 def parallelism_by_name(unital: AffineUnital, name: str) -> Parallelism:
@@ -548,16 +565,15 @@ class ClosedUnital(_Incidence):
         self.affine = unital
         self.parallelism = par
         n, q = unital.n_points, unital.group.field.q
-        n_points = n + len(par.classes)
-        cls = par.block_class[:-1]
-        members = np.flatnonzero(cls >= 0)
+        n_points = n + len(par.labels)
+        short = unital.short_ids
         # a short block's padding column q takes the ideal point of its class
         arr = unital.block_array.copy()
-        arr[members, q] = n + cls[members]
-        sizes = unital.block_sizes + (cls >= 0)
+        arr[short, q] = n + par.block_class[short]
         self.infinity_block_id = len(arr)
         infinity = np.arange(n, n_points, dtype=np.int32)
-        sizes = np.append(sizes, n_points - n).astype(np.int32)
+        sizes = np.append(unital.block_sizes, n_points - n).astype(np.int32)
+        sizes[short] += 1
         super().__init__(n_points, np.vstack([arr, infinity]), sizes)
 
     @cached_property
@@ -575,10 +591,9 @@ class ClosedUnital(_Incidence):
         dtype = np.int16 if len(self.block_sizes) < 2**15 else np.int32
         table = np.full((self.n_points, self.n_points), -1, dtype=dtype)
         table[:n, :n] = aff.pair_block
-        cls = self.parallelism.block_class[:-1]
-        members = np.flatnonzero(cls >= 0)
-        points, ideal = aff.block_array[members, :q], (n + cls[members])[:, None]
-        table[points, ideal] = table[ideal, points] = members[:, None]
+        short, cls = aff.short_ids, self.parallelism.block_class
+        points, ideal = aff.block_array[short, :q], (n + cls[short])[:, None]
+        table[points, ideal] = table[ideal, points] = short[:, None]
         table[n:, n:] = self.infinity_block_id
         np.fill_diagonal(table[n:, n:], -1)
         return table

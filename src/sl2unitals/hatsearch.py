@@ -55,7 +55,7 @@ from itertools import product
 
 import numpy as np
 
-from .design import HatSystem, check_P, check_Q, build_affine_unital, verify_affine_unital
+from .design import HatSystem, check_Q, build_affine_unital, verify_affine_unital
 from .sl2q import SL2, AutMap, sl2_context
 
 
@@ -873,49 +873,23 @@ def _enumerate_all(cfg: SearchConfig, group: SL2, subgroup: frozenset[int], meth
     return cands, complete
 
 
-def search(cfg: SearchConfig) -> SearchResult:
-    """Candidate enumeration, cover solving, verification and dedup."""
-    t0 = time.monotonic()
-    group = sl2_context(cfg.q, cfg.modulus)
-    if cfg.torus_params is None:
-        cfg = replace(cfg, torus_params=group.default_torus())
-    subgroup = group.cyclic_subgroup(*cfg.torus_params)
-    q = cfg.q
-    universe = residue_universe(group, subgroup)
-
-    orbit_constraints = [c for c in cfg.constraints if c.mode == "orbits"]
-    if len(orbit_constraints) > 1:
-        raise ValueError("at most one orbit-mode constraint is supported")
-    for oc in orbit_constraints:
-        if sum(oc.orbit_shape) != q - 2:
-            raise ValueError(
-                f"orbit shape {sorted(oc.orbit_shape)} does not sum to q-2 = {q - 2}"
-            )
-
-    t_enumerate = time.monotonic()
-    method = _resolve_method(group, cfg.constraints, cfg.method)
-    stats = {"enumeration_method": method, "enumerate_nodes": 0, "universe": len(universe)}
-    candidates, cand_complete = _enumerate_all(cfg, group, subgroup, method, stats)
-    t_cover = time.monotonic()
-    stats["candidates"] = len(candidates)
-    stats["candidates_complete"] = cand_complete
-
-    # Distinct quotient sets with their witness blocks (normally unique).
-    by_quotients: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for c in candidates:
-        by_quotients.setdefault(c.quotients, []).append(c.block)
-    qsets = sorted(by_quotients, key=lambda s: sorted(s))
-
-    remaining_budget = None
-    if cfg.time_budget_sec is not None:
-        remaining_budget = max(0.0, cfg.time_budget_sec - (time.monotonic() - t0))
+def _cover_families(
+    cfg: SearchConfig,
+    group: SL2,
+    universe: tuple[int, ...],
+    candidates: list[Candidate],
+    orbit_constraints: list[SymmetryConstraint],
+    max_seconds: float | None,
+    stats: dict,
+) -> tuple[list[tuple[frozenset[int], ...]], bool]:
+    """The cover stage: the quotient-set families that partition the
+    universe, and whether the cover ran to completion."""
+    qsets = sorted({c.quotients for c in candidates}, key=sorted)
 
     families: list[tuple[frozenset[int], ...]] = []
-    cover_complete = True
     if not orbit_constraints:
-        instance = CoverInstance(universe, tuple(qsets), arity=q - 2)
-        res = exact_cover(instance, max_nodes=cfg.node_budget, max_seconds=remaining_budget)
-        cover_complete = res.complete
+        instance = CoverInstance(universe, tuple(qsets), arity=cfg.q - 2)
+        res = exact_cover(instance, max_nodes=cfg.node_budget, max_seconds=max_seconds)
         stats["cover_nodes"] = res.nodes
         for sol in res.solutions:
             families.append(tuple(qsets[r] for r in sol))
@@ -959,8 +933,7 @@ def search(cfg: SearchConfig) -> SearchResult:
             union_rows.setdefault(frozenset(union), []).append(members)
         row_keys = sorted(union_rows, key=lambda s: sorted(s))
         instance = CoverInstance(universe, tuple(row_keys), arity=len(shape))
-        res = exact_cover(instance, max_nodes=cfg.node_budget, max_seconds=remaining_budget)
-        cover_complete = res.complete
+        res = exact_cover(instance, max_nodes=cfg.node_budget, max_seconds=max_seconds)
         stats["cover_nodes"] = res.nodes
         stats["orbit_rows"] = len(row_keys)
         for sol in res.solutions:
@@ -969,6 +942,47 @@ def search(cfg: SearchConfig) -> SearchResult:
                 if sorted(len(part) for part in variant) != shape:
                     continue
                 families.append(tuple(qsets[m] for m in sorted(members)))
+    return families, res.complete
+
+
+def search(cfg: SearchConfig) -> SearchResult:
+    """Candidate enumeration, cover solving, verification and dedup."""
+    t0 = time.monotonic()
+    group = sl2_context(cfg.q, cfg.modulus)
+    if cfg.torus_params is None:
+        cfg = replace(cfg, torus_params=group.default_torus())
+    subgroup = group.cyclic_subgroup(*cfg.torus_params)
+    q = cfg.q
+    universe = residue_universe(group, subgroup)
+
+    orbit_constraints = [c for c in cfg.constraints if c.mode == "orbits"]
+    if len(orbit_constraints) > 1:
+        raise ValueError("at most one orbit-mode constraint is supported")
+    for oc in orbit_constraints:
+        if sum(oc.orbit_shape) != q - 2:
+            raise ValueError(
+                f"orbit shape {sorted(oc.orbit_shape)} does not sum to q-2 = {q - 2}"
+            )
+
+    t_enumerate = time.monotonic()
+    method = _resolve_method(group, cfg.constraints, cfg.method)
+    stats = {"enumeration_method": method, "enumerate_nodes": 0, "universe": len(universe)}
+    candidates, cand_complete = _enumerate_all(cfg, group, subgroup, method, stats)
+    t_cover = time.monotonic()
+    stats["candidates"] = len(candidates)
+    stats["candidates_complete"] = cand_complete
+
+    remaining_budget = None
+    if cfg.time_budget_sec is not None:
+        remaining_budget = max(0.0, cfg.time_budget_sec - (time.monotonic() - t0))
+    if remaining_budget == 0.0:
+        # the enumeration spent the budget: skip the cover, set-up included
+        families, cover_complete = [], False
+        stats["cover_nodes"] = 0
+    else:
+        families, cover_complete = _cover_families(
+            cfg, group, universe, candidates, orbit_constraints, remaining_budget, stats
+        )
 
     # Materialise (over all hats sharing a quotient set), verify, dedup.
     t_verify = time.monotonic()
@@ -989,9 +1003,7 @@ def search(cfg: SearchConfig) -> SearchResult:
                 continue
             seen_bases.add(bases)
             system = HatSystem(group, subgroup, bases)
-            if not all(check_Q(group, b) for b in bases) or not check_P(system):
-                raise RuntimeError("search emitted a family failing (Q)/(P) re-verification")
-            unital = build_affine_unital(system)
+            unital = build_affine_unital(system)  # re-checks (Q) and (P)
             if not verify_affine_unital(unital).ok:
                 raise RuntimeError("search emitted a family failing axiom verification")
             if cfg.dedup == "iso":

@@ -261,18 +261,29 @@ class SL2:
         """All q(q^2-1)*e automorphisms as one read-only (|Aut| x n) int16 table.
 
         Row h*e + k is the permutation of AutMap(elements[h], k): one gather
-        conjugates by every h at once, then e - 1 gathers apply the
-        Frobenius.  For even q the centre is trivial, so the rows are
-        distinct maps; this is verified at build time on the images of
-        ``generators``, which fix an automorphism.
+        conjugates by a chunk of h at once, then e - 1 gathers apply the
+        Frobenius.  The table is filled in 16 chunks of h, as the Cayley
+        table is, so the build peaks near the int16 table itself.  For
+        even q the centre is trivial, so the rows are distinct maps; this
+        is verified at build time on the images of ``generators``, which
+        fix an automorphism.
         """
         n, e = self.order, self.field.e
         table = np.empty((n, e, n), dtype=np.int16)
-        table[:, 0] = self.cayley[self.cayley[self.inverse_index], np.arange(n)[:, None]]
-        for k in range(1, e):
-            table[:, k] = self.frob_index[table[:, k - 1]]
+        step = -(-n // 16)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            h = np.arange(n)[rows]
+            layer = self.cayley[self.cayley[self.inverse_index[h]], h[:, None]]
+            table[rows, 0] = layer
+            for k in range(1, e):
+                layer = self.frob_index[layer]
+                table[rows, k] = layer
         table = table.reshape(n * e, n)
-        if len(set(map(tuple, table[:, list(self.generators)].tolist()))) < n * e:
+        # sorted by the generators' images, two equal maps would be neighbours
+        keys = table[:, list(self.generators)]
+        keys = keys[np.lexsort(keys.T)]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise RuntimeError("duplicate automorphism map; centre not trivial?")
         table.setflags(write=False)
         return table

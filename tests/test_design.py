@@ -1,5 +1,6 @@
 """Hat systems, unital construction, axioms, parallelisms, closures."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from sl2unitals import catalog
 from sl2unitals.design import (
     AffineUnital,
     HatSystem,
+    Parallelism,
     PartitionError,
     UnitalError,
     _Incidence,
@@ -393,11 +395,69 @@ class TestVerification:
         assert rep.counts["blocks"] == 2 + 9
 
 
+def reference_parallelism_witness(unital, par):
+    """Independent oracle for ``parallelism_witness``: the class-by-class
+    set loops over ``classes``, with the checks that a label array makes
+    unreachable (non-short, repeated and uncovered blocks) kept."""
+    q = unital.group.field.q
+    if len(par.classes) != q + 1:
+        return f"{len(par.classes)} classes, expected {q + 1}"
+    placed: set[int] = set()
+    for ci, cl in enumerate(par.classes):
+        if len(cl) != q * q - 1:
+            return f"class {ci} has {len(cl)} blocks, expected {q * q - 1}"
+        covered: set[int] = set()
+        for bid in cl:
+            if unital.block_sizes[bid] != q:
+                return f"class {ci} contains non-short block {bid}"
+            b = unital.block_array[bid, :q].tolist()
+            if covered.intersection(b):
+                return f"class {ci} has intersecting blocks"
+            covered.update(b)
+        if placed.intersection(cl):
+            return f"class {ci} repeats a block"
+        placed.update(cl)
+    if placed != set(unital.short_ids.tolist()):
+        return "classes do not cover all short blocks"
+    return None
+
+
 class TestParallelisms:
     def test_both_valid(self, unitals, parallelisms):
         for name, u in unitals.items():
             for par in ("flat", "natural"):
                 assert parallelism_witness(u, parallelisms[(name, par)]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_witness_matches_reference(self, unitals, q4_unital, data):
+        """Perturbed label arrays: unchanged, one block moved (possibly into
+        a new class), two blocks swapped, two classes merged."""
+        u = data.draw(st.sampled_from([q4_unital, unitals["wu"]]))
+        base = data.draw(st.sampled_from([flat_parallelism, natural_parallelism]))(u)
+        label = base.label.copy()
+        q, k = u.group.field.q, len(label)
+        kind = data.draw(st.sampled_from(["unchanged", "move", "swap", "merge"]))
+        if kind == "move":
+            label[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(0, q + 1))
+        elif kind == "swap":
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            label[[i, j]] = label[[j, i]]
+        elif kind == "merge":
+            a, b = data.draw(st.lists(st.integers(0, q), min_size=2, max_size=2, unique=True))
+            label[label == a] = b
+        par = Parallelism(u, base.name, label)
+        got = parallelism_witness(u, par)
+        assert got == reference_parallelism_witness(u, par)
+        assert (got is None) == np.array_equal(label, base.label)
+
+    def test_label_is_the_only_state(self, parallelisms):
+        p = parallelisms[("wu", "natural")]
+        assert [f.name for f in dataclasses.fields(p)] == ["unital", "name", "label"]
+        assert not p.label.flags.writeable
+        assert len(p.label) == len(p.unital.short_ids)
+        assert (p.block_class[p.unital.short_ids] >= 0).all()
+        assert (np.delete(p.block_class, p.unital.short_ids) == -1).all()
 
     def test_flat_differs_from_natural(self, parallelisms):
         for name in catalog.NAMES:
@@ -475,10 +535,10 @@ class TestClosure:
         assert str(extended.value) == str(generic.value)
 
     def test_invalid_parallelism_rejected(self, unitals, parallelisms):
-        from dataclasses import replace
-
         u = unitals["wu"]
         p = parallelisms[("wu", "flat")]
-        broken = replace(p, classes=p.classes[:-1] + (p.classes[0],))
+        # the last class merged into the first
+        label = np.where(p.label == p.labels[-1], p.labels[0], p.label)
+        broken = Parallelism(u, p.name, label)
         with pytest.raises(UnitalError, match="invalid parallelism"):
             close(u, broken)

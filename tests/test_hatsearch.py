@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2unitals import catalog
+from sl2unitals import catalog, hatsearch
 from sl2unitals.design import build_affine_unital, check_P, quotient_set
 from sl2unitals.hatsearch import (
     BudgetExceeded,
@@ -791,6 +791,31 @@ class TestSearch:
         cfg = SearchConfig(time_budget_sec=0.2)
         result = search(cfg)
         assert not result.complete
+
+    def test_spent_budget_skips_the_cover(self, monkeypatch):
+        """A budget the enumeration used up leaves the cover unrun, its
+        set-up included; with budget left the same spy sees the call."""
+        calls = []
+        real_cover, real_enumerate = hatsearch.exact_cover, hatsearch._enumerate_all
+
+        def spy_cover(*args, **kwargs):
+            calls.append(args)
+            return real_cover(*args, **kwargs)
+
+        def slow_enumerate(cfg, *args):
+            out = real_enumerate(cfg, *args)
+            time.sleep(cfg.time_budget_sec)  # the budget is spent, however fast the walk
+            return out
+
+        monkeypatch.setattr(hatsearch, "exact_cover", spy_cover)
+        monkeypatch.setattr(hatsearch, "_enumerate_all", slow_enumerate)
+        result = search(SearchConfig(time_budget_sec=0.05))
+        assert calls == []
+        assert not result.complete and result.systems == []
+        assert result.stats["cover_nodes"] == 0
+        monkeypatch.setattr(hatsearch, "_enumerate_all", real_enumerate)
+        assert search(SearchConfig(q=4, time_budget_sec=60.0)).complete
+        assert len(calls) == 1
 
     def test_default_torus_q4(self):
         default = search(SearchConfig(q=4))

@@ -363,6 +363,17 @@ class TestAutTable:
         assert "aut_table" not in group.__dict__
         assert np.array_equal(perm, group.aut_table[group.aut_row(AutMap(G, 1))])
 
+    def test_build_peaks_near_the_table(self):
+        """The table is filled in chunks: no full-size temporary beside it."""
+        group = SL2(GF2e(3))
+        tracemalloc.start()
+        try:
+            table = group.aut_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * table.nbytes
+
     def test_equal_rows_raise(self):
         # the distinctness check reads the generators' images; with the
         # identity as the only "generator" every row agrees there
