@@ -1,13 +1,13 @@
 """Built-in hat systems for q = 8 and the hat-system file format.
 
-Four systems are shipped: the classical affine unital of order 8 and the
-three non-classical ones (named "wu", "ou", "pu" after the published
-Weihnachts-, Oster- and Pfingstunital).  Each is stored twice: the
-defining matrices below (two literal base blocks per system, the rest
-derived by entrywise Frobenius or conjugation) and an expanded data file
-in the package.  ``load`` regenerates the system from the literals and
-compares against the parsed file, so a transcription slip on either side
-fails loudly.
+Four systems are built in: the classical affine unital of order 8 and
+the three non-classical ones (named "wu", "ou", "pu" after the published
+Weihnachts-, Oster- and Pfingstunital).  The defining matrices below are
+their only source: two literal base blocks per system, the rest derived
+by entrywise Frobenius or conjugation.  ``load`` builds the system from
+them and checks conditions (Q) and (P), so a transcription slip fails
+loudly; ``serialize`` writes the expanded file form, whose bytes the
+tests pin.
 
 Matrices are written as 4-tuples of field codes over GF(8) with modulus
 X^3 + X + 1; the generator z of the multiplicative group has code 2 and
@@ -16,7 +16,6 @@ z^0..z^6 are 1, 2, 4, 3, 6, 7, 5.
 
 from __future__ import annotations
 
-import importlib.resources
 from typing import NamedTuple
 
 from .design import HatSystem, check_P, check_Q
@@ -175,16 +174,10 @@ def _build_system(group: SL2, name: str) -> HatSystem:
 
 
 def load(name: str, group: SL2 | None = None) -> HatSystem:
-    """Load a named system, cross-checking the packaged data file and
+    """Build a named system from its defining matrices, checking
     conditions (Q) and (P)."""
     group = group or context()
     system = _build_system(group, name)
-    data = importlib.resources.files("sl2unitals.data").joinpath(f"{name}.unital")
-    parsed, _meta = parse(data.read_text(), group=group)
-    if parsed.subgroup != system.subgroup or parsed.bases != system.bases:
-        raise UnitalDataError(
-            f"packaged data for {name!r} disagrees with the defining relations"
-        )
     for k, base in enumerate(system.bases):
         if not check_Q(group, base):
             raise UnitalDataError(f"{name}: condition (Q) fails for base {k}")

@@ -227,14 +227,6 @@ class _Incidence:
             raise UnitalError(f"points {x},{y} on blocks {int(bids[k])} and {int(table[x, y])}")
         return table
 
-    def joining_block_id(self, x: int, y: int) -> int:
-        if x == y:
-            raise ValueError("joining block requires two distinct points")
-        bid = int(self.pair_block[x, y])
-        if bid < 0:
-            raise UnitalError(f"points {x},{y} lie on no common block")
-        return bid
-
     def block_image(
         self,
         perm: np.ndarray,
@@ -294,15 +286,6 @@ class AffineUnital(_Incidence):
         self.short_ids = np.flatnonzero(sizes == q)
         self.long_ids = np.flatnonzero(sizes == q + 1)
 
-    @cached_property
-    def tags(self) -> list[tuple[str, int]]:
-        """Per block, ("S", -1), ("T", Sylow index) or ("D", base index)."""
-        q = self.group.field.q
-        return [
-            ("S", -1) if f == 0 else ("T", f - 1) if f <= q + 1 else ("D", f - q - 2)
-            for f in self.block_family.tolist()
-        ]
-
     @property
     def blocks_through_identity(self) -> np.ndarray:
         return self.point_blocks[0]
@@ -315,10 +298,6 @@ class AffineUnital(_Incidence):
         bases = range(len(self.system.bases))
         return tuple(frozenset(through[family == k].tolist()) for k in bases)
 
-    def translate_block_id(self, bid: int, h: int) -> int:
-        """Id of the right translate (block * h)."""
-        return int(self.block_image(self.group.cayley[:, h], [bid])[0])
-
 
 def build_affine_unital(system: HatSystem) -> AffineUnital:
     """Construct the unital after re-checking (Q) and (P)."""
@@ -330,11 +309,6 @@ def build_affine_unital(system: HatSystem) -> AffineUnital:
         kind, x = w
         raise PartitionError(f"condition (P) fails: element {x} is {kind}", witness=x)
     return AffineUnital(system)
-
-
-def joining_block(unital: _Incidence, x: int, y: int) -> tuple[int, ...]:
-    """The unique block through two distinct points."""
-    return unital.blocks[unital.joining_block_id(x, y)]
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +332,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
 
 
 def _unique_joining_check(structure: _Incidence) -> tuple[bool, str]:
@@ -424,9 +395,9 @@ class Parallelism:
     the labels that occur, in ascending order; ``labels``, ``block_class``,
     ``classes`` and ``key`` are views derived from it.  Every short block
     lies in exactly one class, so the checks left to
-    ``parallelism_witness`` are the class count, the class sizes and
-    disjointness.  (Arrays have no ``==``, so neither has this class;
-    compare ``key``.)
+    ``parallelism_witness`` are the shape and range of ``label``, the
+    class count, the class sizes and disjointness.  (Arrays have no
+    ``==``, so neither has this class; compare ``key``.)
     """
 
     unital: AffineUnital
@@ -501,11 +472,20 @@ class Parallelism:
 def parallelism_witness(unital: AffineUnital, par: Parallelism) -> str | None:
     """None if valid, else a description of the first violation.
 
-    The class count comes first, then class by class its size and whether
-    two of its blocks meet: one bincount of the class sizes and one of the
-    (class, point) incidences of the short blocks.
+    The label array comes first: integers, one per short block, each a
+    Sylow index in 0..q.  Then the class count, then class by class its
+    size and whether two of its blocks meet: one bincount of the class
+    sizes and one of the (class, point) incidences of the short blocks.
     """
     q, n = unital.group.field.q, unital.n_points
+    label, n_short = par.label, len(unital.short_ids)
+    if label.dtype.kind not in "iu":
+        return f"label has dtype {label.dtype}, expected integers"
+    if label.shape != (n_short,):
+        return f"label has shape {label.shape}, expected ({n_short},)"
+    bad = np.flatnonzero((label < 0) | (label > q))
+    if len(bad):
+        return f"label {label[bad[0]]} at short block {bad[0]}, expected 0..{q}"
     if len(par.labels) != q + 1:
         return f"{len(par.labels)} classes, expected {q + 1}"
     cls = par.block_class[unital.short_ids]
@@ -598,16 +578,8 @@ class ClosedUnital(_Incidence):
         np.fill_diagonal(table[n:, n:], -1)
         return table
 
-    @property
-    def ideal_points(self) -> tuple[int, ...]:
-        return tuple(range(self.affine.n_points, self.n_points))
-
-    def ideal_point_of_class(self, ci: int) -> int:
-        return self.affine.n_points + ci
-
     def ideal_point_of_sylow(self, sylow_index: int) -> int:
-        ci = self.parallelism.labels.index(sylow_index)
-        return self.ideal_point_of_class(ci)
+        return self.affine.n_points + self.parallelism.labels.index(sylow_index)
 
 
 def close(unital: AffineUnital, par: Parallelism) -> ClosedUnital:

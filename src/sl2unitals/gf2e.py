@@ -74,13 +74,9 @@ class GF2e:
     modulus : int, optional
         Bitmask of an irreducible degree-e polynomial over GF(2).
         Defaults to the entry of ``DEFAULT_MODULI``.
-    p : int
-        Characteristic; only 2 is supported.
     """
 
-    def __init__(self, e: int, modulus: int | None = None, p: int = 2):
-        if p != 2:
-            raise ValueError(f"unsupported characteristic p={p}; only p=2 is supported")
+    def __init__(self, e: int, modulus: int | None = None):
         if not 1 <= e <= 5:
             raise ValueError(f"extension degree e={e} out of supported range [1, 5]")
         if modulus is None:
@@ -89,7 +85,6 @@ class GF2e:
             raise ValueError(f"modulus {modulus:#b} does not have degree {e}")
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#b} is reducible over GF(2)")
-        self.p = p
         self.e = e
         self.modulus = modulus
         self.q = 1 << e

@@ -30,7 +30,8 @@ over the six tori on a 2-vCPU machine, Python 3.11).
 The exact cover keeps one bitset of row ids per column and the set of
 rows still alive, so a column's active count is a popcount of their AND,
 in the way dancing links keeps its column sizes current without
-scanning the rows.
+scanning the rows.  A node or time budget stops the cover with the
+solutions found so far, flagged incomplete.
 
 Symmetry constraints restrict the search:
 
@@ -55,7 +56,7 @@ from itertools import product
 
 import numpy as np
 
-from .design import HatSystem, check_Q, build_affine_unital, verify_affine_unital
+from .design import HatSystem, build_affine_unital, verify_affine_unital
 from .sl2q import SL2, AutMap, sl2_context
 
 
@@ -127,7 +128,6 @@ class CoverResult:
     solutions: list[tuple[int, ...]]
     complete: bool
     nodes: int
-    resume_token: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -669,41 +669,6 @@ def _orbit_subsets(
             stats["enumerate_nodes"] = stats.get("enumerate_nodes", 0) + nodes
 
 
-def is_valid_candidate(
-    group: SL2,
-    subgroup: frozenset[int],
-    block: tuple[int, ...],
-    constraints: tuple[SymmetryConstraint, ...] = (),
-) -> bool:
-    """The exact membership predicate of the enumeration, for one block."""
-    q = group.field.q
-    if len(block) != q + 1 or 0 not in block:
-        return False
-    universe = set(residue_universe(group, subgroup))
-    if not check_Q(group, block):
-        return False
-    from .design import quotient_set
-
-    qs = quotient_set(group, block).elements
-    if not qs <= universe:
-        return False
-    for perm in _stabilize_perms(group, constraints):
-        if frozenset(int(perm[x]) for x in qs) != qs:
-            return False
-    return canonical_hat_representative(group, block) == tuple(sorted(block))
-
-
-def canonical_hat_representative(group: SL2, block: tuple[int, ...]) -> tuple[int, ...]:
-    """Least translate of the block through the identity."""
-    cay, inv = group.cayley, group.inverse_index
-    best = None
-    for d in block:
-        tr = tuple(sorted(int(cay[x, inv[d]]) for x in block))
-        if best is None or tr < best:
-            best = tr
-    return best
-
-
 def hats_with_quotients(group: SL2, quotients: frozenset[int]) -> list[tuple[int, ...]]:
     """Canonical representatives of every hat with the given quotient set.
 
@@ -735,15 +700,12 @@ def exact_cover(
     instance: CoverInstance,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
-    resume: tuple[int, ...] | None = None,
 ) -> CoverResult:
     """All ways to partition the universe with ``arity`` rows.
 
     Deterministic DFS: the uncovered element with the fewest active rows
     is branched on, rows in ascending id order.  On budget exhaustion the
-    result is flagged incomplete and carries the decision stack as a
-    resume token; passing that token back skips the already-explored
-    prefix of the tree.
+    result is flagged incomplete and holds the solutions found so far.
 
     Rows and columns are bitsets: each column holds the ids of its rows,
     and the search carries the set of rows still disjoint from the cover,
@@ -770,7 +732,7 @@ def exact_cover(
     state = {"nodes": 0}
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
-    def dfs(covered: int, alive: int, boundary: bool):
+    def dfs(covered: int, alive: int):
         state["nodes"] += 1
         if max_nodes is not None and state["nodes"] > max_nodes:
             raise BudgetExceeded
@@ -793,17 +755,10 @@ def exact_cover(
                 best_active, best_count = active, count
                 if not count:
                     break
-        depth = len(stack)
         while best_active:
             low = best_active & -best_active
             best_active ^= low
             r = low.bit_length() - 1
-            if boundary and resume is not None and depth < len(resume):
-                if r < resume[depth]:
-                    continue
-                child_boundary = r == resume[depth]
-            else:
-                child_boundary = False
             meets = conflicts.get(r)
             if meets is None:
                 meets = 0
@@ -811,17 +766,15 @@ def exact_cover(
                     meets |= col_rows[c]
                 conflicts[r] = meets
             stack.append(r)
-            dfs(covered | rows[r], alive & ~meets, child_boundary)
+            dfs(covered | rows[r], alive & ~meets)
             stack.pop()
 
     complete = True
-    token = None
     try:
-        dfs(0, (1 << len(rows)) - 1, resume is not None)
+        dfs(0, (1 << len(rows)) - 1)
     except BudgetExceeded:
         complete = False
-        token = tuple(stack)
-    return CoverResult(solutions, complete, state["nodes"], token)
+    return CoverResult(solutions, complete, state["nodes"])
 
 
 # ----------------------------------------------------------------------

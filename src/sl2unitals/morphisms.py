@@ -38,13 +38,6 @@ def point_perm(group: SL2, psi: UnitalMap) -> np.ndarray:
     return group.cayley[group.aut_perm(psi.alpha), psi.translator]
 
 
-def compose_maps(group: SL2, a: UnitalMap, b: UnitalMap) -> UnitalMap:
-    """Apply a, then b: translator transforms through b's alpha part."""
-    alpha = group.compose_aut(a.alpha, b.alpha)
-    h = group.cayley[group.apply_aut_idx(b.alpha, a.translator), b.translator]
-    return UnitalMap(alpha, int(h))
-
-
 def _iso_rows(u1: AffineUnital, u2: AffineUnital) -> np.ndarray:
     """The rows of ``aut_table`` whose automorphisms induce isomorphisms
     u1 -> u2: those carrying S1 onto S2 (the transporter) and the blocks
@@ -98,9 +91,6 @@ class GroupDescription:
     cyclic: bool
     abelian: bool
     label: str
-
-    def histogram(self) -> dict[int, int]:
-        return dict(self.element_orders)
 
 
 def describe_aut_group(group: SL2, maps: tuple[AutMap, ...]) -> GroupDescription:
@@ -276,12 +266,6 @@ def closed_point_map(closed: ClosedUnital, psi: UnitalMap) -> np.ndarray | None:
     ext[: aff.n_points] = perm
     ext[aff.n_points :] = aff.n_points + moved
     return ext
-
-
-def is_closed_automorphism(closed: ClosedUnital, psi: UnitalMap) -> bool:
-    """Whether the extension of psi preserves the closed block set."""
-    ext = closed_point_map(closed, psi)
-    return ext is not None and bool((closed.block_image(ext) >= 0).all())
 
 
 def verify_translation(closed: ClosedUnital, sylow: frozenset[int], center: int) -> bool:

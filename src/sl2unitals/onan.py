@@ -202,15 +202,17 @@ def _check_point(structure: _Incidence, point) -> None:
 def find_onan(structure: _Incidence, anchor: int | None = None) -> OnanConfig | None:
     """A witness configuration, or None (scanning all points if no anchor).
 
-    The full scan looks for a witness only at the first point whose count
-    is nonzero, which is where the unfiltered scan would find it.
+    The witness scan runs only at anchors with more than 64 blocks through
+    them or a nonzero mask count, so the full scan finds its witness at
+    the first point whose count is nonzero, as the unfiltered scan would.
     """
     if anchor is not None:
         _check_point(structure, anchor)
-        return _anchored_scan(structure, anchor, want_witness=True)[3]
-    for a in range(structure.n_points):
-        if count_onan_through(structure, a).count:
-            return _anchored_scan(structure, a, want_witness=True)[3]
+    for a in range(structure.n_points) if anchor is None else (anchor,):
+        if len(structure.point_blocks[a]) > 64 or _mask_count(structure, a):
+            witness = _anchored_scan(structure, a, want_witness=True)[3]
+            if witness is not None:
+                return witness
     return None
 
 

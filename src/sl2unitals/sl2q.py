@@ -102,29 +102,11 @@ class SL2:
             raise ValueError(f"matrix ({a},{b},{c},{d}) has determinant != 1")
         return (a, b, c, d)
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        return self.elements[self.cayley[self.index[x], self.index[y]]]
-
-    def inverse(self, x: Element) -> Element:
-        return self.elements[self.inverse_index[self.index[x]]]
-
-    def conjugate(self, x: Element, h: Element) -> Element:
-        """h^-1 x h."""
-        ih = self.inverse_index[self.index[h]]
-        t = self.cayley[ih, self.index[x]]
-        return self.elements[self.cayley[t, self.index[h]]]
-
     # ------------------------------------------------------------------
     # Index-level operations
     # ------------------------------------------------------------------
     def idx(self, x: Element) -> int:
         return self.index[x]
-
-    def mul_idx(self, i: int, j: int) -> int:
-        return int(self.cayley[i, j])
-
-    def inv_idx(self, i: int) -> int:
-        return int(self.inverse_index[i])
 
     def conj_idx(self, i: int, h: int) -> int:
         """Index of h^-1 x h for element indices i, h."""
@@ -234,12 +216,6 @@ class SL2:
         """The row of ``aut_table`` (and position in ``all_aut_maps``) of m."""
         return self.index[m.conjugator] * self.field.e + m.frob % self.field.e
 
-    def apply_aut(self, m: AutMap, x: Element) -> Element:
-        return self.elements[self.aut_perm(m)[self.index[x]]]
-
-    def apply_aut_idx(self, m: AutMap, i: int) -> int:
-        return int(self.aut_perm(m)[i])
-
     def compose_aut(self, a: AutMap, b: AutMap) -> AutMap:
         """The map "apply a, then b" in the same (conjugate, frob) shape."""
         e = self.field.e
@@ -248,13 +224,6 @@ class SL2:
             hb = int(self.frob_index[hb])
         conj = self.cayley[self.index[a.conjugator], hb]
         return AutMap(self.elements[conj], (a.frob + b.frob) % e)
-
-    def invert_aut(self, a: AutMap) -> AutMap:
-        e = self.field.e
-        h = self.inverse_index[self.index[a.conjugator]]
-        for _ in range(a.frob % e):
-            h = int(self.frob_index[h])
-        return AutMap(self.elements[h], (e - a.frob % e) % e)
 
     @cached_property
     def aut_table(self) -> np.ndarray:

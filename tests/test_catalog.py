@@ -1,5 +1,7 @@
 """Catalog data, defining relations, and the file format."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,22 @@ from sl2unitals.catalog import (
 )
 from sl2unitals.design import HatSystem, check_P, check_Q
 
+#: sha256 of ``serialize(load(name), name=name)``, the file ``export NAME`` writes.
+#: The systems are built from the literal matrices alone, so these pin them.
+EXPORT_SHA256 = {
+    "classical8": "576d4f30c1962073a673f7aba54d239652fb9d472e4a3fa483bd180d5245ef8d",
+    "wu": "b517b6cc19eeda6ccbb33d5671bf583752f8cdb92faaea61f0351db3e8a8e0ea",
+    "ou": "945b32937559fce89689c6989c6b9bd509ae778818e36dd49a4e15e98a3980b3",
+    "pu": "3b3141dd38da4b3cd9c90ab7611229d4e5c3e2a9f83a58cde06b66d3db86ed28",
+}
+
 
 class TestEntries:
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_serialized_bytes_are_pinned(self, name):
+        text = serialize(load(name), name=name)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name]
+
     def test_all_load_and_validate(self, sl2):
         for name in catalog.NAMES:
             system = load(name)

@@ -21,7 +21,6 @@ from sl2unitals.design import (
     check_Q,
     close,
     flat_parallelism,
-    joining_block,
     natural_parallelism,
     parallelism_witness,
     partition_witness,
@@ -36,14 +35,25 @@ G = (4, 6, 6, 2)
 
 
 def tuple_level_quotients(group, block):
-    """Oracle built on the tuple-level arithmetic instead of the index
-    tables; returns the quotient list with multiplicities."""
+    """Oracle built on 2x2 matrix arithmetic over the field instead of the
+    index tables; returns the quotient list with multiplicities."""
+    f = group.field
+
+    def times(x, y):
+        return (
+            f.mul(x[0], y[0]) ^ f.mul(x[1], y[2]),
+            f.mul(x[0], y[1]) ^ f.mul(x[1], y[3]),
+            f.mul(x[2], y[0]) ^ f.mul(x[3], y[2]),
+            f.mul(x[2], y[1]) ^ f.mul(x[3], y[3]),
+        )
+
     elems = [group.elements[i] for i in block]
     out = []
     for x in elems:
         for y in elems:
             if x != y:
-                out.append(group.multiply(x, group.inverse(y)))
+                # in characteristic 2 the inverse of (a, b; c, d) is (d, b; c, a)
+                out.append(times(x, (y[3], y[1], y[2], y[0])))
     return out
 
 
@@ -51,7 +61,7 @@ class TestQuotients:
     def test_two_element_block(self, sl2):
         x = sl2.idx(G)
         qs = quotient_set(sl2, (0, x))
-        assert qs.elements == {x, sl2.inv_idx(x)}
+        assert qs.elements == {x, int(sl2.inverse_index[x])}
         assert qs.multiset_size == 2
 
     def test_catalog_bases_have_72_distinct(self, sl2):
@@ -70,7 +80,7 @@ class TestQuotients:
 
     def test_order_three_powers_repeat(self, sl2):
         x = next(i for i in range(sl2.order) if sl2.order_of_idx(i) == 3)
-        block = (0, x, sl2.mul_idx(x, x))
+        block = (0, x, int(sl2.cayley[x, x]))
         qs = quotient_set(sl2, block)
         assert len(qs.elements) < qs.multiset_size
 
@@ -124,13 +134,13 @@ class TestConstruction:
 
     def test_joining_identity_and_g_is_torus(self, sl2, unitals):
         u = unitals["wu"]
-        block = joining_block(u, 0, sl2.idx(G))
+        block = u.blocks[u.pair_block[0, sl2.idx(G)]]
         assert set(block) == set(u.system.subgroup)
 
     def test_joining_within_sylow(self, sl2, unitals):
         u = unitals["wu"]
         x = sl2.idx((1, 1, 0, 1))
-        block = joining_block(u, 0, x)
+        block = u.blocks[u.pair_block[0, x]]
         assert set(block) in [set(s) for s in sl2.sylow_subgroups]
 
     def test_joining_uses_arcuate_block(self, sl2, unitals):
@@ -138,14 +148,14 @@ class TestConstruction:
         u = unitals["wu"]
         base = u.system.bases[0]
         s = sorted(base)[1]
-        bid = u.joining_block_id(0, s)
-        kind, k = u.tags[bid]
-        assert (kind, k) == ("D", 0)
+        bid = u.pair_block[0, s]
+        # the families are S, the nine Sylow subgroups, then the bases
+        assert u.block_family[bid] == 1 + len(sl2.sylow_subgroups)
         assert bid in u.hats[0]
 
-    def test_identity_errors(self, unitals):
-        with pytest.raises(ValueError):
-            joining_block(unitals["wu"], 5, 5)
+    def test_pair_table_diagonal_is_empty(self, unitals):
+        # no block joins a point to itself
+        assert (np.diagonal(unitals["wu"].pair_block) == -1).all()
 
 
 def oracle_image(source, perm, target=None):
@@ -246,7 +256,7 @@ def reference_incidence(system):
     blocks, origin, index, dropped = [], [], set(), 0
     for f, fam in enumerate(families):
         for g in range(group.order):
-            block = tuple(sorted(group.mul_idx(x, g) for x in fam))
+            block = tuple(sorted(int(group.cayley[x, g]) for x in fam))
             if block in index:
                 dropped += f > group.field.q + 1
                 continue
@@ -340,7 +350,7 @@ class TestIncidenceOracle:
             closed_blocks = [b + (ideal[i],) if i in ideal else b for i, b in enumerate(blocks)]
             self.assert_structure(closed, closed_blocks + [infinity])
             assert_same_table(closed.pair_block, _Incidence.pair_block.func(closed))
-            assert closed.ideal_points == infinity
+            assert closed.n_points == n + q + 1
             assert closed.infinity_block_id == len(blocks)
             assert closed.block_array[-1].tolist() == list(infinity)
 
@@ -361,7 +371,7 @@ class TestVerification:
     def test_catalog_passes(self, unitals):
         for name, u in unitals.items():
             rep = verify_affine_unital(u)
-            assert rep.ok, (name, rep.failures())
+            assert rep.ok, (name, rep.checks)
             assert rep.counts["points"] == 504
             assert rep.counts["blocks"] == 3647
 
@@ -379,7 +389,7 @@ class TestVerification:
         assert len(broken.blocks) == 3646
         rep = verify_affine_unital(broken)
         assert not rep.ok
-        failed = {c.name for c in rep.failures()}
+        failed = {c.name for c in rep.checks if not c.ok}
         assert failed & {"AU3", "AU4"}
         assert len(dropped) in (8, 9)
 
@@ -398,8 +408,12 @@ class TestVerification:
 def reference_parallelism_witness(unital, par):
     """Independent oracle for ``parallelism_witness``: the class-by-class
     set loops over ``classes``, with the checks that a label array makes
-    unreachable (non-short, repeated and uncovered blocks) kept."""
+    unreachable (non-short, repeated and uncovered blocks) kept, after a
+    scan for labels that name no Sylow subgroup."""
     q = unital.group.field.q
+    for i, t in enumerate(par.label.tolist()):
+        if not 0 <= t <= q:
+            return f"label {t} at short block {i}, expected 0..{q}"
     if len(par.classes) != q + 1:
         return f"{len(par.classes)} classes, expected {q + 1}"
     placed: set[int] = set()
@@ -477,8 +491,8 @@ class TestParallelisms:
         u = unitals["ou"]
         rng = random.Random(9)
         for h in rng.sample(range(504), 3):
-            for bid in rng.sample(range(len(u.blocks)), 80):
-                assert u.translate_block_id(bid, h) is not None
+            ids = rng.sample(range(len(u.blocks)), 80)
+            assert (u.block_image(sl2.cayley[:, h], ids) >= 0).all()
 
     def test_right_invariance(self, parallelisms):
         assert parallelisms[("wu", "flat")].is_right_invariant
@@ -489,7 +503,7 @@ class TestClosure:
     def test_parameters(self, closures):
         for (name, par), c in closures.items():
             rep = verify_design(c)
-            assert rep.ok, (name, par, rep.failures())
+            assert rep.ok, (name, par, rep.checks)
             assert rep.counts["points"] == 513
             assert rep.counts["blocks"] == 3648
             assert rep.counts["replication"] == 64
@@ -510,7 +524,7 @@ class TestClosure:
 
     def test_removing_infinity_breaks_ideal_joining(self, closures):
         c = closures[("wu", "flat")]
-        i1, i2 = c.ideal_points[0], c.ideal_points[1]
+        i1, i2 = c.affine.n_points, c.affine.n_points + 1
         joined = [b for b in c.blocks if i1 in b and i2 in b]
         assert joined == [c.blocks[c.infinity_block_id]]
 
@@ -542,3 +556,17 @@ class TestClosure:
         broken = Parallelism(u, p.name, label)
         with pytest.raises(UnitalError, match="invalid parallelism"):
             close(u, broken)
+
+    @pytest.mark.parametrize("change", ["short", "long", "negative", "above_q", "float"])
+    def test_invalid_label_array_rejected(self, unitals, parallelisms, change):
+        u = unitals["wu"]
+        label = parallelisms[("wu", "flat")].label
+        broken = {
+            "short": label[:-1],  # one entry short
+            "long": np.append(label, 0),  # one entry too many
+            "negative": label - 1,  # a -1 for the first Sylow subgroup
+            "above_q": np.where(np.arange(len(label)) == 5, 9, label),  # q + 1
+            "float": label.astype(float),
+        }[change]
+        with pytest.raises(UnitalError, match="invalid parallelism: label"):
+            close(u, Parallelism(u, "x", broken))

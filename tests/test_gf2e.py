@@ -33,10 +33,6 @@ def gf8():
 
 
 class TestConstruction:
-    def test_rejects_odd_characteristic(self):
-        with pytest.raises(ValueError, match="unsupported characteristic"):
-            GF2e(3, p=3)
-
     def test_rejects_reducible_modulus(self):
         # X^3 + X^2 + X + 1 = (X+1)(X^2+1)
         with pytest.raises(ValueError, match="reducible"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2unitals import catalog, hatsearch
-from sl2unitals.design import build_affine_unital, check_P, quotient_set
+from sl2unitals.design import build_affine_unital, check_P, check_Q, quotient_set
 from sl2unitals.hatsearch import (
     BudgetExceeded,
     Candidate,
@@ -19,11 +19,9 @@ from sl2unitals.hatsearch import (
     SymmetryConstraint,
     _enumerate_all,
     _stabilize_perms,
-    canonical_hat_representative,
     enumerate_candidates,
     exact_cover,
     hats_with_quotients,
-    is_valid_candidate,
     residue_universe,
     search,
 )
@@ -32,11 +30,45 @@ from sl2unitals.sl2q import SL2, AutMap, sl2_context
 
 
 # ----------------------------------------------------------------------
-# Test-only references: the list-scan cover, the full_check walk, the
+# Test-only references: the least translate and the candidate predicate
+# spelled out, the list-scan cover, the full_check walk, the
 # element-by-element enumerator and the hat recovery that the bitset
 # versions replaced.
 # ----------------------------------------------------------------------
-def _reference_cover(instance, max_nodes=None, resume=None):
+def canonical_hat_representative(group: SL2, block: tuple[int, ...]) -> tuple[int, ...]:
+    """Least translate of the block through the identity."""
+    cay, inv = group.cayley, group.inverse_index
+    best = None
+    for d in block:
+        tr = tuple(sorted(int(cay[x, inv[d]]) for x in block))
+        if best is None or tr < best:
+            best = tr
+    return best
+
+
+def is_valid_candidate(
+    group: SL2,
+    subgroup: frozenset[int],
+    block: tuple[int, ...],
+    constraints: tuple[SymmetryConstraint, ...] = (),
+) -> bool:
+    """The exact membership predicate of the enumeration, for one block."""
+    q = group.field.q
+    if len(block) != q + 1 or 0 not in block:
+        return False
+    universe = set(residue_universe(group, subgroup))
+    if not check_Q(group, block):
+        return False
+    qs = quotient_set(group, block).elements
+    if not qs <= universe:
+        return False
+    for perm in _stabilize_perms(group, constraints):
+        if frozenset(int(perm[x]) for x in qs) != qs:
+            return False
+    return canonical_hat_representative(group, block) == tuple(sorted(block))
+
+
+def _reference_cover(instance, max_nodes=None):
     """Algorithm X with a list scan of every column's active rows per node."""
     universe = list(instance.universe)
     pos = {u: i for i, u in enumerate(universe)}
@@ -46,7 +78,7 @@ def _reference_cover(instance, max_nodes=None, resume=None):
     elem_rows = [[rid for rid, m in enumerate(rows) if m >> i & 1] for i in range(nu)]
     solutions, stack, state = [], [], {"nodes": 0}
 
-    def dfs(covered, boundary):
+    def dfs(covered):
         state["nodes"] += 1
         if max_nodes is not None and state["nodes"] > max_nodes:
             raise BudgetExceeded
@@ -65,23 +97,16 @@ def _reference_cover(instance, max_nodes=None, resume=None):
                 best_active = active
                 if not active:
                     break
-        depth = len(stack)
         for r in best_active:
-            if boundary and resume is not None and depth < len(resume):
-                if r < resume[depth]:
-                    continue
-                child_boundary = r == resume[depth]
-            else:
-                child_boundary = False
             stack.append(r)
-            dfs(covered | rows[r], child_boundary)
+            dfs(covered | rows[r])
             stack.pop()
 
     try:
-        dfs(0, resume is not None)
+        dfs(0)
     except BudgetExceeded:
-        return CoverResult(solutions, False, state["nodes"], tuple(stack))
-    return CoverResult(solutions, True, state["nodes"], None)
+        return CoverResult(solutions, False, state["nodes"])
+    return CoverResult(solutions, True, state["nodes"])
 
 
 def _reference_structured(group, subgroup, constraints, first_element=None, translators=None):
@@ -390,7 +415,7 @@ class TestUniverse:
 
     def test_closed_under_inversion(self, sl2, torus_c):
         uni = set(residue_universe(sl2, torus_c))
-        assert {sl2.inv_idx(x) for x in uni} == uni
+        assert {int(sl2.inverse_index[x]) for x in uni} == uni
 
 
 class TestCandidatePredicate:
@@ -680,7 +705,7 @@ class TestExactCover:
                 CoverInstance((0, 1), (frozenset({0}), frozenset({0})), arity=2)
             )
 
-    def test_budget_and_resume(self, sl2, torus_c):
+    def test_budget_keeps_a_prefix(self, sl2, torus_c):
         uni = residue_universe(sl2, torus_c)
         rows = []
         seen = set()
@@ -696,10 +721,8 @@ class TestExactCover:
 
         partial = exact_cover(instance, max_nodes=8)
         assert not partial.complete
-        assert partial.resume_token is not None
-        resumed = exact_cover(instance, resume=partial.resume_token)
-        combined = partial.solutions + resumed.solutions
-        assert combined == full.solutions
+        assert partial.nodes == 9
+        assert partial.solutions == full.solutions[: len(partial.solutions)]
 
 
 class TestCoverAgainstReference:
@@ -707,7 +730,7 @@ class TestCoverAgainstReference:
 
     @staticmethod
     def outcome(res):
-        return res.solutions, res.complete, res.nodes, res.resume_token
+        return res.solutions, res.complete, res.nodes
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -727,13 +750,6 @@ class TestCoverAgainstReference:
         budget = data.draw(st.integers(1, 60))
         partial = exact_cover(instance, max_nodes=budget)
         assert self.outcome(partial) == self.outcome(_reference_cover(instance, budget))
-        if not partial.complete:
-            token = partial.resume_token
-            assert self.outcome(exact_cover(instance, resume=token)) == self.outcome(
-                _reference_cover(instance, resume=token)
-            )
-            again = exact_cover(instance, max_nodes=budget, resume=token)
-            assert self.outcome(again) == self.outcome(_reference_cover(instance, budget, token))
 
     def test_row_outside_universe_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -741,17 +757,15 @@ class TestCoverAgainstReference:
         with pytest.raises(ValueError, match="outside"):
             exact_cover(CoverInstance((), (frozenset({0}),), arity=1))
 
-    def test_stabilize_instance_budget_and_resume(self, sl2, torus_c, named):
-        # nodes and tokens recorded from the list-scan solver on this instance
+    def test_stabilize_instance_budget(self, sl2, torus_c, named):
+        # nodes recorded from the list-scan solver on this instance
         cands, _ = enumerate_candidates(
             sl2, torus_c, (SymmetryConstraint((named.U[1],), "stabilize"),)
         )
         qsets = sorted({c.quotients for c in cands}, key=sorted)
         instance = CoverInstance(residue_universe(sl2, torus_c), tuple(qsets), arity=6)
         first = exact_cover(instance, max_nodes=1000)
-        assert self.outcome(first) == ([], False, 1001, (166, 6743))
-        resumed = exact_cover(instance, max_nodes=1000, resume=first.resume_token)
-        assert self.outcome(resumed) == ([], False, 1001, (221, 2500))
+        assert self.outcome(first) == ([], False, 1001)
         short = exact_cover(instance, max_nodes=20)
         assert self.outcome(short) == self.outcome(_reference_cover(instance, 20))
 

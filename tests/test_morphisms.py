@@ -18,11 +18,9 @@ from sl2unitals.morphisms import (
     are_isomorphic_affine,
     closed_point_map,
     closures_isomorphic,
-    compose_maps,
     describe_aut_group,
     full_aut_order,
     is_automorphism,
-    is_closed_automorphism,
     maps_parallelism,
     point_perm,
     stabilizer_of_identity,
@@ -279,11 +277,13 @@ class TestParallelismTransport:
             )
 
     def test_composition_of_maps(self, sl2, unitals):
+        # apply a, then b: the alphas compose, and a's translator moves by b
         u = unitals["wu"]
         maps, _ = stabilizer_of_identity(u)
         a = UnitalMap(maps[1], 17)
         b = UnitalMap(maps[2], 99)
-        ab = compose_maps(sl2, a, b)
+        h = sl2.cayley[sl2.aut_perm(b.alpha)[a.translator], b.translator]
+        ab = UnitalMap(sl2.compose_aut(a.alpha, b.alpha), int(h))
         pa, pb = point_perm(sl2, a), point_perm(sl2, b)
         assert np.array_equal(point_perm(sl2, ab), pb[pa])
         assert is_automorphism(u, ab, full=True)
@@ -330,8 +330,8 @@ class TestClosures:
         c = closures[("wu", "natural")]
         for m in (maps[1], maps[-1]):
             psi = UnitalMap(m, 42)
-            assert is_closed_automorphism(c, psi)
             ext = closed_point_map(c, psi)
+            assert ext is not None and (c.block_image(ext) >= 0).all()
             inf = c.blocks[c.infinity_block_id]
             assert tuple(sorted(int(ext[p]) for p in inf)) == inf
 

@@ -194,6 +194,14 @@ class TestExistence:
             assert contains_onan(pg7) is True
         assert witness_asked == [True]
 
+    def test_empty_anchor_skips_the_witness_scan(self, unitals, monkeypatch):
+        """classical8 has no configuration: the mask count at anchor 0 is 0,
+        so the pair scan never runs."""
+        scanned = []
+        monkeypatch.setattr(onan, "_anchored_scan", lambda *args, **kwargs: scanned.append(args))
+        assert find_onan(unitals["classical8"], anchor=0) is None
+        assert scanned == []
+
     def test_fresh_structure_keeps_no_tuple_view(self, sl2):
         u = build_affine_unital(catalog.load("wu", sl2))
         assert contains_onan(u) is True
