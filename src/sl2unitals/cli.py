@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING
 
 from . import catalog
 from .design import (
+    AffineUnital,
     UnitalError,
+    admissibility,
     build_affine_unital,
-    check_Q,
     close,
     parallelism_by_name,
-    partition_witness,
     verify_affine_unital,
     verify_design,
 )
@@ -82,19 +82,18 @@ def _build(source: str, q: int | None, modulus: int | None):
 
 def cmd_verify(args, out: Output) -> int:
     system, meta = _load_source(args.source, args.q, args.modulus)
-    bad_q = [k for k, b in enumerate(system.bases) if not check_Q(system.group, b)]
-    for k in bad_q:
-        out.say(f"condition (Q) fails for base {k + 1}")
-    out.emit("condition-Q", "pass" if not bad_q else "fail")
-    witness = partition_witness(system) if not bad_q else None
-    if witness is not None:
-        kind, x = witness
-        out.say(f"condition (P) fails: element index {x} is {kind}")
-    out.emit("condition-P", "pass" if not bad_q and witness is None else "fail")
-    if bad_q or witness is not None:
+    adm = admissibility(system)
+    for message in adm.q_failures:
+        out.say(message)
+    out.emit("condition-Q", "fail" if adm.q_failures else "pass")
+    if adm.p_failure is not None:
+        out.say(str(adm.p_failure))
+    if adm.error() is not None:
+        out.emit("condition-P", "fail")
         out.emit("status", "fail")
         return EXIT_FAIL
-    unital = build_affine_unital(system)
+    out.emit("condition-P", "pass")
+    unital = AffineUnital(system)
     rep = verify_affine_unital(unital)
     for k, v in rep.counts.items():
         out.emit(k, v)
@@ -268,10 +267,9 @@ def _search_config(spec, args) -> SearchConfig:
     q = spec.get("q", 8)
     group = sl2_context(q, spec.get("modulus"))
     _check_field(group, args.q, args.modulus, args.config)
-    named = {"g": catalog.G_MATRIX, "f": catalog.F_MATRIX, "one": group.one}
-    if q == 8:
-        gi = group.idx(catalog.G_MATRIX)
-        named["g3"] = group.elements[group.cayley[group.cayley[gi, gi], gi]]
+    named = {"f": catalog.F_MATRIX, "one": group.one}
+    if q == 8 and group is catalog.context():  # g is a matrix over the catalog's field
+        named.update(g=catalog.G_MATRIX, g3=catalog.constants(group).U[1].conjugator)
     constraints = []
     for ci, cs in enumerate(spec.get("constraints", [])):
         where = f"constraint {ci}"

@@ -72,19 +72,21 @@ class QuotientSet(NamedTuple):
     multiset_size: int
 
 
+def _quotient_flags(group: SL2, blocks: np.ndarray) -> np.ndarray:
+    """Row i flags the quotients x * y^-1 over x != y in row i of the
+    (k x m) array ``blocks``: the one gather (Q) and (P) are read from."""
+    quotients = group.cayley[blocks[:, :, None], group.inverse_index[blocks][:, None, :]]
+    distinct = blocks[:, :, None] != blocks[:, None, :]
+    flags = np.zeros((len(blocks), group.order), dtype=bool)
+    flags[np.nonzero(distinct)[0], quotients[distinct]] = True
+    return flags
+
+
 def quotient_set(group: SL2, block: tuple[int, ...] | frozenset[int]) -> QuotientSet:
     """All pairwise quotients x * y^-1 over distinct x, y in the block."""
-    idxs = list(block)
-    cay = group.cayley
-    inv = group.inverse_index
-    out = set()
-    for x in idxs:
-        row = cay[x]
-        for y in idxs:
-            if x != y:
-                out.add(int(row[inv[y]]))
-    m = len(idxs)
-    return QuotientSet(frozenset(out), m * (m - 1))
+    flags = _quotient_flags(group, np.array([list(block)], dtype=np.intp))
+    m = len(block)
+    return QuotientSet(frozenset(np.flatnonzero(flags[0]).tolist()), m * (m - 1))
 
 
 def check_Q(group: SL2, block: tuple[int, ...] | frozenset[int]) -> bool:
@@ -93,36 +95,74 @@ def check_Q(group: SL2, block: tuple[int, ...] | frozenset[int]) -> bool:
     return len(qs.elements) == qs.multiset_size
 
 
-def _partition_parts(system: HatSystem):
-    """The parts whose disjoint union condition (P) requires."""
-    parts = [frozenset(system.subgroup) - {0}]
-    for syl in system.group.sylow_subgroups:
-        parts.append(frozenset(syl) - {0})
-    for base in system.bases:
-        parts.append(quotient_set(system.group, base).elements)
-    return parts
+def _fixed_count(group: SL2, subgroup: frozenset[int]) -> np.ndarray:
+    """Per element, how many of the parts of (P) that the bases do not
+    make hold it: S minus 1 and the punctured Sylow subgroups.  The
+    identity, which (P) leaves out, counts as covered once."""
+    count = np.zeros(group.order, dtype=np.int64)
+    for part in (subgroup, *group.sylow_subgroups):
+        count[list(part)] += 1
+    count[0] = 1
+    return count
 
 
-def partition_witness(system: HatSystem) -> tuple[str, int] | None:
-    """None if (P) holds, else ("uncovered"|"doubly-covered", element index)."""
-    n = system.group.order
-    count = np.zeros(n, dtype=np.int16)
-    for part in _partition_parts(system):
-        for x in part:
-            count[x] += 1
-    count[0] = 1  # the identity is excluded from the partition
-    over = np.nonzero(count > 1)[0]
+def residue_universe(group: SL2, subgroup: frozenset[int]) -> tuple[int, ...]:
+    """The elements the quotient sets must partition under (P): the
+    nonidentity elements outside the subgroup and all Sylow conjugates."""
+    return tuple(np.flatnonzero(_fixed_count(group, subgroup) == 0).tolist())
+
+
+def _witness(system: HatSystem, flags: np.ndarray) -> tuple[str, int] | None:
+    count = _fixed_count(system.group, system.subgroup) + flags.sum(axis=0)
+    over = np.flatnonzero(count > 1)
     if len(over):
         return ("doubly-covered", int(over[0]))
-    under = np.nonzero(count == 0)[0]
+    under = np.flatnonzero(count == 0)
     if len(under):
         return ("uncovered", int(under[0]))
     return None
 
 
+def _base_flags(system: HatSystem) -> np.ndarray:
+    bases = np.array(system.bases, dtype=np.intp).reshape(-1, system.group.field.q + 1)
+    return _quotient_flags(system.group, bases)
+
+
+def partition_witness(system: HatSystem) -> tuple[str, int] | None:
+    """None if (P) holds, else ("uncovered"|"doubly-covered", element index)."""
+    return _witness(system, _base_flags(system))
+
+
 def check_P(system: HatSystem) -> bool:
     """Condition (P): the quotient sets complete the group partition."""
     return partition_witness(system) is None
+
+
+class Admissibility(NamedTuple):
+    """Why a hat system fails (Q) or (P), in the words the CLI prints: one
+    message per base failing (Q), numbered from 1 as in the file format,
+    and, only where (Q) holds, the (P) failure with its witness."""
+
+    q_failures: tuple[str, ...]
+    p_failure: PartitionError | None
+
+    def error(self) -> UnitalError | None:
+        """The first failure, as ``build_affine_unital`` raises it."""
+        return UnitalError(self.q_failures[0]) if self.q_failures else self.p_failure
+
+
+def admissibility(system: HatSystem) -> Admissibility:
+    """Conditions (Q) and (P) from one quotient gather over all bases."""
+    flags = _base_flags(system)
+    q = system.group.field.q
+    bad = np.flatnonzero(flags.sum(axis=1) != q * (q + 1)).tolist()
+    if bad:
+        return Admissibility(tuple(f"condition (Q) fails for base {k + 1}" for k in bad), None)
+    w = _witness(system, flags)
+    if w is None:
+        return Admissibility((), None)
+    kind, x = w
+    return Admissibility((), PartitionError(f"condition (P) fails: element index {x} is {kind}", x))
 
 
 # ----------------------------------------------------------------------
@@ -300,14 +340,10 @@ class AffineUnital(_Incidence):
 
 
 def build_affine_unital(system: HatSystem) -> AffineUnital:
-    """Construct the unital after re-checking (Q) and (P)."""
-    for k, base in enumerate(system.bases):
-        if not check_Q(system.group, base):
-            raise UnitalError(f"condition (Q) fails for base {k}")
-    w = partition_witness(system)
-    if w is not None:
-        kind, x = w
-        raise PartitionError(f"condition (P) fails: element {x} is {kind}", witness=x)
+    """Construct the unital after checking (Q) and (P)."""
+    err = admissibility(system).error()
+    if err is not None:
+        raise err
     return AffineUnital(system)
 
 

@@ -96,11 +96,6 @@ class GF2e:
             for b in range(q):
                 tab[a, b] = poly_mod(poly_mul_raw(a, b), modulus)
         self._mul = tab
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            row = tab[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self._inv = inv
         # One Frobenius step x -> x^2 for each element.
         self._frob = tab[np.arange(q), np.arange(q)].copy()
 
@@ -116,26 +111,9 @@ class GF2e:
     # ------------------------------------------------------------------
     # Element arithmetic (elements are ints in [0, q))
     # ------------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        """Field addition: XOR of codes."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via the precomputed table."""
         return int(self._mul[a, b])
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero input raises ValueError."""
-        if a == 0:
-            raise ValueError("division by zero in GF(2^e)")
-        return int(self._inv[a])
-
-    def frobenius(self, a: int, k: int = 1) -> int:
-        """k-fold Frobenius a^(2^k); k is reduced modulo e."""
-        x = a
-        for _ in range(k % self.e):
-            x = int(self._frob[x])
-        return x
 
     def discriminant_check(self, d: int, t: int) -> bool:
         """True iff X^2 + tX + d has no root in the field.

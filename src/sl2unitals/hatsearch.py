@@ -56,7 +56,7 @@ from itertools import product
 
 import numpy as np
 
-from .design import HatSystem, build_affine_unital, verify_affine_unital
+from .design import HatSystem, build_affine_unital, residue_universe, verify_affine_unital
 from .sl2q import SL2, AutMap, sl2_context
 
 
@@ -138,16 +138,8 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# Residue universe and candidate enumeration
+# Candidate enumeration (the residue universe comes from design)
 # ----------------------------------------------------------------------
-def residue_universe(group: SL2, subgroup: frozenset[int]) -> tuple[int, ...]:
-    """Nonidentity elements outside the subgroup and all Sylow conjugates."""
-    excluded = set(subgroup) | {0}
-    for syl in group.sylow_subgroups:
-        excluded |= syl
-    return tuple(i for i in range(group.order) if i not in excluded)
-
-
 def _stabilize_perms(group: SL2, constraints) -> list[np.ndarray]:
     """Nonidentity permutations of the group the stabilize-generators span."""
     gens = []

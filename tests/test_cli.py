@@ -104,6 +104,59 @@ class TestVerify:
         assert serial == threaded
 
 
+class TestAdmissibility:
+    """(Q) and (P) are decided once per input system, and every command
+    reports a failure with the same base number and element."""
+
+    @pytest.fixture
+    def broken(self, capsys, tmp_path):
+        assert run(capsys, "export", "wu", str(tmp_path / "wu.unital"))[0] == 0
+        lines = (tmp_path / "wu.unital").read_text().splitlines()
+        subgroup = next(l for l in lines if l.startswith("S set ")).removeprefix("S set ")
+        d5 = next(l for l in lines if l.startswith("D 5 ")).split(":", 1)[1]
+        out = {}
+        # D 2 becomes the subgroup, which has too few quotients for (Q); D 6
+        # becomes a copy of D 5, whose quotients then cover elements twice
+        for kind, old, new in (("Q", "D 2 ", f"D 2 : {subgroup}"), ("P", "D 6 ", f"D 6 :{d5}")):
+            path = tmp_path / f"{kind}.unital"
+            path.write_text("\n".join(new if l.startswith(old) else l for l in lines) + "\n")
+            out[kind] = str(path)
+        return out
+
+    def test_every_command_names_the_same_failure(self, capsys, tmp_path, broken):
+        for kind, expected in (("Q", "condition (Q) fails for base 2"), ("P", "condition (P) fails: ")):
+            code, machine, captured = run(capsys, "verify", broken[kind])
+            assert code == 1 and machine[f"condition-{kind}"] == "fail" and machine["status"] == "fail"
+            [message] = [l for l in captured.out.splitlines() if l.startswith("condition (")]
+            assert message.startswith(expected)
+            for argv in (["aut"], ["onan"], ["close", "flat", str(tmp_path / "closed.unital")]):
+                code, _, captured = run(capsys, argv[0], broken[kind], *argv[1:])
+                assert code == 1, argv
+                assert captured.err == f"failure: {message}\n"
+        assert message == "condition (P) fails: element index 11 is doubly-covered"
+
+    @pytest.mark.parametrize(
+        "argv,gathers",
+        [
+            (["verify", "wu"], 1),
+            (["aut", "wu"], 1),
+            (["onan", "wu"], 1),
+            (["close", "wu", "flat", "CLOSED"], 1),
+            (["iso", "wu", "wu"], 2),
+            (["export", "wu", "CLOSED"], 0),
+        ],
+    )
+    def test_one_quotient_gather_per_input(self, capsys, tmp_path, monkeypatch, argv, gathers):
+        from sl2unitals import design
+
+        calls = []
+        gather = design._quotient_flags
+        monkeypatch.setattr(design, "_quotient_flags", lambda *a: calls.append(1) or gather(*a))
+        argv = [str(tmp_path / "closed.unital") if a == "CLOSED" else a for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == gathers
+
+
 class TestAut:
     @pytest.mark.parametrize(
         "name,stab,label,full,index",
@@ -335,6 +388,14 @@ class TestSearch:
         p.write_text(json.dumps(dict(identity, method="structured")))
         code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
         assert code == 2 and "stabilize" in captured.err and "Traceback" not in captured.err
+
+    def test_g_is_named_over_the_catalog_field_only(self, capsys, tmp_path):
+        p = tmp_path / "config.json"
+        for spec, name in (({"q": 4}, "g"), ({"q": 8, "modulus": 13}, "g3")):
+            gens = [{"conjugator": name}]
+            p.write_text(json.dumps(dict(spec, constraints=[{"generators": gens, "mode": "stabilize"}])))
+            code, _, captured = run(capsys, "search", str(p), "--out", str(tmp_path))
+            assert code == 2 and f"unknown named conjugator {name!r}" in captured.err
 
     def test_field_flags_must_match_the_config(self, capsys, tmp_path):
         p = tmp_path / "config.json"

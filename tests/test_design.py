@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sl2unitals.design import (
     PartitionError,
     UnitalError,
     _Incidence,
+    admissibility,
     build_affine_unital,
     check_P,
     check_Q,
@@ -83,6 +85,80 @@ class TestQuotients:
         block = (0, x, int(sl2.cayley[x, x]))
         qs = quotient_set(sl2, block)
         assert len(qs.elements) < qs.multiset_size
+
+
+def reference_quotients(group, block):
+    """Oracle for the quotient gather: the pair loop over the Cayley table."""
+    cay, inv = group.cayley, group.inverse_index
+    return {int(cay[x, inv[y]]) for x in block for y in block if x != y}
+
+
+def reference_witness(system):
+    """Oracle for the (P) witness: every part of the partition counted
+    element by element, the identity set to once, then the first element
+    covered twice, else the first covered never."""
+    group = system.group
+    count = np.zeros(group.order, dtype=np.int16)
+    parts = [system.subgroup - {0}, *(s - {0} for s in group.sylow_subgroups)]
+    for part in parts + [reference_quotients(group, b) for b in system.bases]:
+        for x in part:
+            count[x] += 1
+    count[0] = 1
+    over, under = np.flatnonzero(count > 1), np.flatnonzero(count == 0)
+    if len(over):
+        return ("doubly-covered", int(over[0]))
+    return ("uncovered", int(under[0])) if len(under) else None
+
+
+def random_base(group):
+    """A base through the identity: 1 plus q distinct other elements."""
+    q = group.field.q
+    others = st.lists(st.integers(1, group.order - 1), min_size=q, max_size=q, unique=True)
+    return others.map(lambda xs: tuple(sorted([0, *xs])))
+
+
+class TestAdmissibility:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_loops(self, q4_unital, data):
+        # random bases swapped into wu, classical8 or a q = 4 search result, with
+        # translates through 1 of its own bases and, at q = 8, every catalog
+        # base as donors that pass (Q); None drops the base
+        start = data.draw(st.sampled_from([catalog.load("wu"), catalog.load("classical8"), q4_unital.system]))
+        group, bases = start.group, list(start.bases)
+        cay, inv = group.cayley, group.inverse_index
+        donors = [tuple(sorted(int(cay[x, inv[d]]) for x in b)) for b in bases for d in b]
+        if group.field.q == 8:
+            donors += [b for name in catalog.NAMES for b in catalog.load(name).bases]
+        for k in data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=2, unique=True)):
+            bases[k] = data.draw(st.one_of(random_base(group), st.sampled_from(donors), st.none()))
+        bases = [b for b in bases if b is not None]
+        system = HatSystem(group, start.subgroup, tuple(bases))
+
+        q_ok = [len(reference_quotients(group, b)) == len(b) * (len(b) - 1) for b in bases]
+        witness = reference_witness(system)
+        assert [check_Q(group, b) for b in bases] == q_ok
+        assert all(quotient_set(group, b).elements == reference_quotients(group, b) for b in bases)
+        assert partition_witness(system) == witness
+        adm = admissibility(system)
+        assert adm.q_failures == tuple(
+            f"condition (Q) fails for base {k + 1}" for k, ok in enumerate(q_ok) if not ok
+        )
+        if all(q_ok) and witness is not None:
+            kind, x = witness
+            assert str(adm.p_failure) == f"condition (P) fails: element index {x} is {kind}"
+            assert adm.p_failure.witness == x
+        else:
+            assert adm.p_failure is None
+        err = adm.error()
+        assert (err is None) == (all(q_ok) and witness is None)
+        if err is not None:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                build_affine_unital(system)
+
+    def test_catalog_systems_are_admissible(self):
+        for name in catalog.NAMES:
+            assert admissibility(catalog.load(name)) == ((), None)
 
 
 class TestPartition:

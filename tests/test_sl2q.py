@@ -32,6 +32,7 @@ def reference_tables(field: GF2e) -> dict:
     element at a time."""
     q = field.q
     one = (1, 0, 0, 1)
+    inv = {a: next(x for x in range(q) if field.mul(a, x) == 1) for a in range(1, q)}
     elems = [one]
     for a in range(q):
         for b in range(q):
@@ -39,10 +40,10 @@ def reference_tables(field: GF2e) -> dict:
                 continue
             for c in range(q):
                 if a != 0:
-                    t = (a, b, c, field.mul(1 ^ field.mul(b, c), field.inv(a)))
+                    t = (a, b, c, field.mul(1 ^ field.mul(b, c), inv[a]))
                     if t != one:
                         elems.append(t)
-                elif c == field.inv(b):
+                elif c == inv[b]:
                     elems.extend((a, b, c, d) for d in range(q))
     elements = [one] + sorted(elems[1:])
     index = {t: i for i, t in enumerate(elements)}
